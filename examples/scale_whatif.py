@@ -18,13 +18,16 @@ from dataclasses import replace
 from repro import MEMBRANE, Machine, lammps_program
 from repro.core import fit_trend
 from repro.mpi import NETWORK_LABELS
+from repro.topology import TopologySpec
 
 
 def wall(network, nodes, config, seed=5):
     # Beyond one chassis, InfiniBand moves to a 24-port-switch fat tree;
     # one Elan-4 QS5A chassis covers 128 nodes.
-    radix = 24 if (network == "ib" and nodes > 96) else None
-    machine = Machine(network, nodes, ppn=1, seed=seed, fabric_radix=radix)
+    topology = None
+    if network == "ib" and nodes > 96:
+        topology = TopologySpec(kind="fattree", radix=24, levels=2)
+    machine = Machine(network, nodes, ppn=1, seed=seed, topology=topology)
     return max(machine.run(lammps_program(config)).values)
 
 

@@ -23,7 +23,6 @@ from typing import Any, Dict, List, Optional
 
 from ..faults.recovery import root_fault
 from ..mpi import Machine
-from ..sim import Tracer
 from ..telemetry import Telemetry
 from ..version import __version__
 from .programs import build_program
@@ -73,7 +72,16 @@ def execute_run(
         "label": spec.label(),
         "version": __version__,
     }
-    tracer = Tracer(enabled=True) if trace else None
+    # Metrics are deterministic, cheap and picklable; every campaign
+    # record carries them (timeline stays off — spans are bulky and
+    # reconstructable by re-running with tracing).
+    telemetry = Telemetry(
+        metrics=True,
+        timeline=False,
+        lifecycle=lifecycle,
+        series=lifecycle,
+        log=trace,
+    )
     machine: Optional[Machine] = None
     profiler = None
     if profile:
@@ -86,21 +94,11 @@ def execute_run(
             spec.nodes,
             ppn=spec.ppn,
             seed=spec.seed,
-            fabric_radix=spec.fabric_radix,
             topology=spec.topology_spec,
             ib_progress_thread=spec.ib_progress_thread,
-            trace=tracer,
             faults=spec.fault_plan,
             profiler=profiler,
-            # Metrics are deterministic, cheap and picklable; every
-            # campaign record carries them (timeline stays off — spans
-            # are bulky and reconstructable by re-running with tracing).
-            telemetry=Telemetry(
-                metrics=True,
-                timeline=False,
-                lifecycle=lifecycle,
-                series=lifecycle,
-            ),
+            telemetry=telemetry,
         )
         result = machine.run(
             build_program(spec.app, spec.args),
@@ -137,6 +135,6 @@ def execute_run(
     if profiler is not None:
         record["perf"] = profiler.summary()
     record["wall_s"] = time.perf_counter() - t0  # repro-lint: disable=RPR001
-    if tracer is not None:
-        record["trace_summary"] = tracer.summary()
+    if trace:
+        record["trace_summary"] = telemetry.log.summary()
     return record

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -29,7 +29,7 @@ from ..topology import TopologySpec
 from ..version import __version__
 
 #: RunSpec fields a grid/point is allowed to set directly.
-_RUN_FIELDS = ("app", "network", "nodes", "ppn", "fabric_radix", "ib_progress_thread")
+_RUN_FIELDS = ("app", "network", "nodes", "ppn", "ib_progress_thread")
 
 #: Prefix for sweeping application arguments, e.g. ``app_args.size``.
 _ARG_PREFIX = "app_args."
@@ -90,8 +90,6 @@ class RunSpec:
     #: Application arguments as sorted ``(name, value)`` pairs so the
     #: spec stays hashable; use :attr:`args` for the dict view.
     app_args: Tuple[Tuple[str, Any], ...] = ()
-    #: Optional what-if fabric: two-level fat tree of this radix.
-    fabric_radix: Optional[int] = None
     #: InfiniBand asynchronous progress thread (ablation knob).
     ib_progress_thread: bool = False
     #: Fault-plan overrides as sorted ``(field, value)`` pairs — the
@@ -100,7 +98,7 @@ class RunSpec:
     faults: Tuple[Tuple[str, Any], ...] = ()
     #: Topology overrides as sorted ``(field, value)`` pairs (see
     #: :class:`repro.topology.TopologySpec`).  Empty means the default
-    #: single-chassis crossbar (or the legacy ``fabric_radix`` tree).
+    #: single-chassis crossbar.
     topology: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
@@ -116,7 +114,7 @@ class RunSpec:
         # through object.__setattr__.
         for name in ("app_args", "faults", "topology"):
             object.__setattr__(self, name, _canon_pairs(getattr(self, name)))
-        for name in ("nodes", "ppn", "seed", "fabric_radix"):
+        for name in ("nodes", "ppn", "seed"):
             value = getattr(self, name)
             if isinstance(value, float) and not isinstance(value, bool):
                 canon = _canon_scalar(value)
@@ -135,10 +133,6 @@ class RunSpec:
             _check_json_value(f"{_FAULT_PREFIX}{name}", value)
         for name, value in self.topology:
             _check_json_value(f"{_TOPO_PREFIX}{name}", value)
-        if self.topology and self.fabric_radix is not None:
-            raise ConfigurationError(
-                "set either topology.* axes or fabric_radix, not both"
-            )
         # Validate knob names and ranges eagerly, at declaration time.
         self.fault_plan
         self.topology_spec
@@ -171,7 +165,6 @@ class RunSpec:
             "nodes": self.nodes,
             "ppn": self.ppn,
             "seed": self.seed,
-            "fabric_radix": self.fabric_radix,
             "ib_progress_thread": self.ib_progress_thread,
             "faults": dict(sorted(self.faults)),
             "topology": dict(sorted(self.topology)),
@@ -179,6 +172,13 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunSpec":
+        """Build a spec from its :meth:`to_dict` form; unknown keys raise."""
+        valid = {f.name for f in fields(cls)}
+        unknown = set(data) - valid
+        if unknown:
+            raise ConfigurationError(
+                f"unknown RunSpec keys {sorted(unknown)}; valid: {sorted(valid)}"
+            )
         args = data.get("app_args") or {}
         faults = data.get("faults") or {}
         topology = data.get("topology") or {}
@@ -189,7 +189,6 @@ class RunSpec:
             ppn=int(data.get("ppn", 1)),
             seed=int(data.get("seed", 0)),
             app_args=tuple(sorted(args.items())),
-            fabric_radix=data.get("fabric_radix"),
             ib_progress_thread=bool(data.get("ib_progress_thread", False)),
             faults=tuple(sorted(faults.items())),
             topology=tuple(sorted(topology.items())),

@@ -101,7 +101,7 @@ class HardFaultState:
                 self.links_killed += 1
                 self.down_intervals.setdefault(name, []).append([sim.now, _INF])
         self.events_applied += 1
-        sim.trace.log(
+        sim.log.append(
             sim.now, "fault.hard",
             f"{event.kind} {event.target} "
             f"({len(names)} link(s), scheduled t={event.at_us:g}us)",

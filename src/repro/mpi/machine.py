@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, List, Optional
 
 from ..errors import ConfigurationError
-from ..fabric import CrossbarFabric, TwoLevelFabric
 from ..topology import TopologySpec
 from ..topology.base import Topology
 from ..faults import FaultInjector, FaultPlan, validate_fault_targets
@@ -20,7 +19,7 @@ from ..hardware import Node, NodeSpec, POWEREDGE_1750
 from ..networks.elan import ElanNic
 from ..networks.ib import Hca
 from ..networks.params import ELAN_4, IB_4X, ElanParams, IBParams
-from ..sim import Simulator, Tracer
+from ..sim import Simulator
 from ..telemetry import Telemetry
 from ..telemetry.chrome import chrome_trace, write_chrome_trace
 from ..telemetry.collect import snapshot
@@ -72,10 +71,8 @@ class Machine:
         ib_params: IBParams = IB_4X,
         elan_params: ElanParams = ELAN_4,
         node_spec: NodeSpec = POWEREDGE_1750,
-        fabric_radix: Optional[int] = None,
         topology: Optional[Any] = None,
         ib_progress_thread: bool = False,
-        trace: Optional["Tracer"] = None,
         faults: Optional[FaultPlan] = None,
         telemetry: Optional[Telemetry] = None,
         sanitizer: bool = False,
@@ -103,7 +100,7 @@ class Machine:
 
             self.sanitizer = RaceSanitizer()
         self.sim = Simulator(
-            seed=seed, trace=trace, telemetry=telemetry,
+            seed=seed, telemetry=telemetry,
             sanitizer=self.sanitizer, profiler=profiler,
         )
         self.node_spec = node_spec
@@ -112,34 +109,14 @@ class Machine:
         self.fault_plan = faults
 
         net_params = ib_params if network == "ib" else elan_params
-        if topology is not None and fabric_radix is not None:
-            raise ConfigurationError(
-                "pass either topology or fabric_radix, not both"
-            )
-        if topology is not None:
-            # The general seam: any repro.topology fabric, declaratively.
-            tspec = (
-                topology
-                if isinstance(topology, TopologySpec)
-                else TopologySpec.from_dict(dict(topology))
-            )
-            self.topology = tspec
-            self.fabric: Topology = tspec.build(
-                self.sim, n_nodes, net_params.fabric
-            )
-        elif fabric_radix is not None:
-            # Legacy what-if knob: a two-level fat tree of
-            # ``fabric_radix``-port switches (extra hop latency, contended
-            # inter-switch links).
-            self.topology = TopologySpec(
-                kind="fattree", radix=fabric_radix, levels=2
-            )
-            self.fabric = TwoLevelFabric(
-                self.sim, n_nodes, net_params.fabric, fabric_radix
-            )
-        else:
-            self.topology = TopologySpec()
-            self.fabric = CrossbarFabric(self.sim, n_nodes, net_params.fabric)
+        # Any repro.topology fabric, declaratively; the default is the
+        # paper's single-chassis crossbar.
+        if topology is None:
+            topology = TopologySpec()
+        elif not isinstance(topology, TopologySpec):
+            topology = TopologySpec.from_dict(dict(topology))
+        self.topology: TopologySpec = topology
+        self.fabric: Topology = topology.build(self.sim, n_nodes, net_params.fabric)
         # An injector is attached only when the plan can actually fire;
         # a disabled plan leaves every model on its draw-free fast path,
         # keeping no-fault results bit-identical to a plan-less machine.
@@ -287,15 +264,11 @@ class Machine:
 
     def chrome_trace(self, label: str = "") -> dict:
         """The run as a Chrome ``trace_event`` document (JSON-ready)."""
-        return chrome_trace(
-            self.sim, tracer=self.sim.trace, label=label or self.label
-        )
+        return chrome_trace(self.sim, label=label or self.label)
 
     def write_chrome_trace(self, path, label: str = "") -> dict:
         """Write :meth:`chrome_trace` to ``path``; returns the document."""
-        return write_chrome_trace(
-            path, self.sim, tracer=self.sim.trace, label=label or self.label
-        )
+        return write_chrome_trace(path, self.sim, label=label or self.label)
 
     def lifecycle_spans(self) -> List[dict]:
         """All recorded message spans as JSON-ready dicts (start order)."""

@@ -197,7 +197,7 @@ class MvapichImpl(MpiImpl):
         )
         ctx.sends += 1
         ctx.bytes_sent += size
-        self.sim.trace.log(
+        self.sim.log.append(
             self.sim.now,
             "ib.send",
             f"r{ctx.rank}->r{dest} tag={tag} size={size} "
@@ -356,7 +356,7 @@ class MvapichImpl(MpiImpl):
     ) -> Generator[Event, Any, None]:
         """Process one delivered record on the host CPU."""
         state: _MvState = ctx.impl_state
-        self.sim.trace.log(
+        self.sim.log.append(
             self.sim.now,
             "ib.handle",
             f"r{ctx.rank} {record.kind} from r{record.src_rank} "

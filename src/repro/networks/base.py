@@ -246,7 +246,7 @@ class Nic:
         component = f"{self._stall_component}{self.node.node_id}"
         stall = faults.nic_stall(component)
         if stall > 0.0:
-            self.sim.trace.log(
+            self.sim.log.append(
                 self.sim.now, "fault.stall", f"{component} stalls {stall:g}us"
             )
             yield self.sim.timeout(stall)

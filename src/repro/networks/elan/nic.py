@@ -34,7 +34,7 @@ from ..base import NetRecord, Nic
 from ..params import ElanParams
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ...fabric import CrossbarFabric
+    from ...topology import Topology
     from ...sim import Simulator
 
 #: Tports wire header (route + context + tag word + size).
@@ -91,7 +91,7 @@ class ElanNic(Nic):
         self,
         sim: "Simulator",
         node: Node,
-        fabric: "CrossbarFabric",
+        fabric: "Topology",
         params: ElanParams,
     ) -> None:
         super().__init__(
@@ -242,7 +242,7 @@ class ElanNic(Nic):
             self._c_link_retries.inc(retries)
             span.bump("elan_link_retries", retries)
             faults.elan_link_retries += retries
-            self.sim.trace.log(
+            self.sim.log.append(
                 self.sim.now,
                 "fault.elan.retry",
                 f"node{self.node.node_id}->node{dst_nic.node.node_id} "
@@ -275,7 +275,7 @@ class ElanNic(Nic):
         span.bump("elan_link_retries", retries)
         faults.elan_link_retries += retries
         hard.hard_failed_attempts += 1
-        self.sim.trace.log(
+        self.sim.log.append(
             self.sim.now,
             "fault.elan.link_dead",
             f"node{self.node.node_id}->node{dst_nic.node.node_id} "
@@ -314,7 +314,7 @@ class ElanNic(Nic):
         hard.failovers += 1
         hard.failover_us += fo_end - fo_start
         self._c_rail_switches.inc()
-        self.sim.trace.log(
+        self.sim.log.append(
             self.sim.now,
             "fault.elan.rail_switch",
             f"node{self.node.node_id}->node{dst_nic.node.node_id} "
@@ -340,7 +340,7 @@ class ElanNic(Nic):
         on ``cpu``); the NIC executes the rest.  ``handle.done`` fires when
         the send buffer is reusable (payload fully injected).
         """
-        self.sim.trace.log(
+        self.sim.log.append(
             self.sim.now,
             "elan.tx",
             f"r{local_rank}->r{dst_rank} tag={tag} size={size} "
@@ -578,7 +578,7 @@ class ElanNic(Nic):
             return cost, effect
 
         handle = yield from self._thread_run(cost_fn, key=("arr", record.seq))
-        self.sim.trace.log(
+        self.sim.log.append(
             self.sim.now,
             "elan.match",
             f"r{record.dst_rank} {'matched' if handle else 'parked'} "

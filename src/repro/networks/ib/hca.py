@@ -30,7 +30,7 @@ from ..params import IBParams
 from .memreg import RegistrationCache
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ...fabric import CrossbarFabric
+    from ...topology import Topology
     from ...sim import Simulator
 
 #: Transport header carried on the wire by every IB message (LRH+BTH+
@@ -47,7 +47,7 @@ class Hca(Nic):
         self,
         sim: "Simulator",
         node: Node,
-        fabric: "CrossbarFabric",
+        fabric: "Topology",
         params: IBParams,
     ) -> None:
         super().__init__(
@@ -288,7 +288,7 @@ class Hca(Nic):
             faults.ib_retransmits += 1
             faults.ib_timeout_us += timeout
             if not dead:
-                self.sim.trace.log(
+                self.sim.log.append(
                     self.sim.now,
                     "fault.ib.retry",
                     f"node{self.node.node_id}->node{dst_nic.node.node_id} "
@@ -312,7 +312,7 @@ class Hca(Nic):
         hard.hard_failed_attempts += 1
         hard.pending_recoveries += 1
         fo_start = self.sim.now
-        self.sim.trace.log(
+        self.sim.log.append(
             self.sim.now,
             "fault.ib.path_down",
             f"node{self.node.node_id}->node{dst_nic.node.node_id} "
@@ -344,7 +344,7 @@ class Hca(Nic):
         hard.failover_us += fo_end - fo_start
         hard.detect_us += detect
         self._c_migrations.inc()
-        self.sim.trace.log(
+        self.sim.log.append(
             self.sim.now,
             "fault.ib.migrate",
             f"node{self.node.node_id}->node{dst_nic.node.node_id} "

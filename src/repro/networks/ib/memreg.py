@@ -90,7 +90,7 @@ class RegistrationCache:
             return
         self.transient_failures += failures
         span.bump("reg_transient_failures", failures)
-        self.sim.trace.log(
+        self.sim.log.append(
             self.sim.now,
             "fault.reg",
             f"cache {self.name}: {failures} transient registration failure(s)",

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
-from ..fabric import FabricSpec
+from ..topology import FabricSpec
 from ..units import KiB, MiB
 
 

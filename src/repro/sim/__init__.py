@@ -12,7 +12,6 @@ from .pipelines import DEFAULT_CHUNK, Stage, transfer, transfer_time_estimate
 from .process import Interrupted, Process
 from .resources import FifoResource, Store
 from .rng import RngStreams
-from .trace import Tracer
 
 __all__ = [
     "Simulator",
@@ -25,7 +24,6 @@ __all__ = [
     "FifoResource",
     "Store",
     "RngStreams",
-    "Tracer",
     "Stage",
     "transfer",
     "transfer_time_estimate",

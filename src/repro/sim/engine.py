@@ -32,7 +32,6 @@ from ..telemetry.collect import DISABLED, Telemetry
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import ProcGen, Process
 from .rng import RngStreams
-from .trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults import FaultInjector
@@ -50,7 +49,6 @@ class Simulator:
     def __init__(
         self,
         seed: int = 0,
-        trace: Optional[Tracer] = None,
         telemetry: Optional[Telemetry] = None,
         sanitizer: Optional[Any] = None,
         profiler: Optional[Any] = None,
@@ -60,7 +58,6 @@ class Simulator:
         self._seq = 0
         self._running = False
         self.rng = RngStreams(seed)
-        self.trace = trace if trace is not None else Tracer(enabled=False)
         #: The observability bundle (:mod:`repro.telemetry`).  The shared
         #: stateless DISABLED bundle is the default: its registry hands
         #: out no-op instruments, so model code can fetch and call its
@@ -69,10 +66,12 @@ class Simulator:
         #: Shorthand for ``telemetry.metrics`` — the registry model code
         #: fetches instruments from at construction time.
         self.metrics = self.telemetry.metrics
-        #: Shorthands for the per-message span recorder and the series
-        #: bank (null singletons when disabled, like the registry).
+        #: Shorthands for the per-message span recorder, the series bank
+        #: and the protocol event log (null singletons when disabled,
+        #: like the registry).
         self.lifecycle = self.telemetry.lifecycle
         self.series = self.telemetry.series
+        self.log = self.telemetry.log
         #: Every FifoResource / Store built on this simulator, in
         #: construction order; the metrics snapshot walks the named ones.
         self.resources: List["FifoResource"] = []

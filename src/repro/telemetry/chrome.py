@@ -14,8 +14,8 @@ Event sources:
   event per recorded phase, on one track per owning rank;
 * :class:`~.series.SeriesBank` channels — counter (``ph: "C"``) events,
   one track per channel, so gauge history renders as area charts;
-* legacy :class:`~repro.sim.Tracer` records — protocol events, exported
-  as instants on one track per category.
+* the protocol event log (``sim.telemetry.log``) — exported as instants
+  on one track per category.
 
 Simulation time is microseconds, which is exactly the ``ts`` unit the
 trace format expects — timestamps pass through unscaled.
@@ -25,27 +25,23 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List
 
 from ..version import __version__
 from .collect import snapshot
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..sim import Simulator, Tracer
+    from ..sim import Simulator
 
 #: The single process id used for the whole simulated machine.
 PID = 0
 
 
-def chrome_trace(
-    sim: "Simulator",
-    tracer: Optional["Tracer"] = None,
-    label: str = "",
-) -> Dict[str, Any]:
+def chrome_trace(sim: "Simulator", label: str = "") -> Dict[str, Any]:
     """Build the trace dict for one finished simulation.
 
-    Includes whatever was collected: timeline spans if the simulator's
-    telemetry has one, tracer records if a tracer is given, and always
+    Includes whatever the simulator's telemetry collected — timeline
+    spans, message lifecycles, series, event-log records — and always
     the metrics snapshot under ``otherData.metrics``.
     """
     events: List[Dict[str, Any]] = []
@@ -119,20 +115,19 @@ def chrome_trace(
                         "args": {"value": value},
                     }
                 )
-    if tracer is not None:
-        for ts, category, message in tracer.records:
-            events.append(
-                {
-                    "name": category,
-                    "cat": category,
-                    "ph": "i",
-                    "s": "t",
-                    "ts": ts,
-                    "pid": PID,
-                    "tid": tid_of(f"trace.{category}"),
-                    "args": {"message": message},
-                }
-            )
+    for ts, category, message in sim.telemetry.log.records:
+        events.append(
+            {
+                "name": category,
+                "cat": category,
+                "ph": "i",
+                "s": "t",
+                "ts": ts,
+                "pid": PID,
+                "tid": tid_of(f"trace.{category}"),
+                "args": {"message": message},
+            }
+        )
     metadata: List[Dict[str, Any]] = [
         {
             "name": "process_name",
@@ -175,14 +170,9 @@ def chrome_trace(
     }
 
 
-def write_chrome_trace(
-    path,
-    sim: "Simulator",
-    tracer: Optional["Tracer"] = None,
-    label: str = "",
-) -> Dict[str, Any]:
+def write_chrome_trace(path, sim: "Simulator", label: str = "") -> Dict[str, Any]:
     """Export :func:`chrome_trace` to ``path``; returns the trace dict."""
-    trace = chrome_trace(sim, tracer=tracer, label=label)
+    trace = chrome_trace(sim, label=label)
     Path(path).write_text(json.dumps(trace, sort_keys=True))
     return trace
 

@@ -1,10 +1,11 @@
 """Bounded event streams and span timelines.
 
-:class:`EventStream` is the storage behind the legacy string
-:class:`~repro.sim.trace.Tracer`: time-ordered ``(time, category,
+:class:`EventStream` is the protocol event log (``sim.log``, enabled
+with ``Telemetry(log=True)``): time-ordered ``(time, category,
 message)`` tuples with **per-category** drop accounting once the record
 limit is hit — a drowned-out category is visible as such, not folded
-into one global number.
+into one global number.  When the log is off, ``sim.log`` is the shared
+:data:`NULL_STREAM`, whose ``append`` does nothing.
 
 :class:`Timeline` records *spans* (named intervals on named tracks) and
 *instants*, the raw material of the Chrome ``trace_event`` exporter.
@@ -14,7 +15,7 @@ therefore deterministic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 #: One stream record: (simulation time, category, message).
 StreamRecord = Tuple[float, str, str]
@@ -30,6 +31,8 @@ class EventStream:
     """Append-only bounded record store with per-category drop counts."""
 
     __slots__ = ("limit", "records", "dropped_by_category")
+
+    enabled = True
 
     def __init__(self, limit: int = 1_000_000) -> None:
         self.limit = limit
@@ -61,6 +64,24 @@ class EventStream:
             by_category[category] = by_category.get(category, 0) + 1
         return dict(sorted(by_category.items()))
 
+    def select(self, category: str) -> List[StreamRecord]:
+        """All records of one category, in log order."""
+        return [r for r in self.records if r[1] == category]
+
+    def summary(self) -> Dict[str, Union[int, Dict[str, int]]]:
+        """Per-category record and drop counts plus totals.
+
+        JSON-ready digest — campaign journals attach this to each traced
+        run so record volume can be inspected without shipping the
+        records themselves.
+        """
+        return {
+            "total": len(self.records),
+            "dropped": self.dropped,
+            "by_category": self.counts(),
+            "dropped_by_category": dict(sorted(self.dropped_by_category.items())),
+        }
+
     def clear(self) -> None:
         """Drop all records and reset drop accounting."""
         self.records.clear()
@@ -68,6 +89,25 @@ class EventStream:
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+class _NullStream:
+    """Shared disabled log: ``append`` records nothing."""
+
+    __slots__ = ()
+
+    enabled = False
+    records: Tuple[StreamRecord, ...] = ()
+
+    def append(self, now: float, category: str, message: str) -> bool:
+        return False
+
+    def __len__(self) -> int:
+        return 0
+
+
+#: The log every simulator without ``Telemetry(log=True)`` shares.
+NULL_STREAM = _NullStream()
 
 
 class Timeline:

@@ -12,7 +12,7 @@ the event kernel rather than from closed-form guesses.
 Concrete topologies:
 
 * :class:`CrossbarTopology` — the original single-chassis model (still
-  the default; re-exported as ``repro.fabric.CrossbarFabric``);
+  the default);
 * :class:`FatTreeTopology` — folded-Clos fat tree of ``radix``-port
   switches, 1 to 3 levels, deterministic d-mod-k up-routing, with port
   arithmetic shared with :mod:`repro.cost.switchmath` so the cost and
@@ -25,22 +25,23 @@ Concrete topologies:
 (``topology.*`` dotted axes); :class:`TopologyScalingStudy` simulates
 ping-pong / b_eff / sweep3d at 128-1024+ ranks and sets the result next
 to the :mod:`repro.core.extrapolate` trend fit — the repro's first
-number the 2004 paper could only guess at.
+number the 2004 paper could only guess at.  :class:`FabricSpec` holds
+the per-technology wire parameters every topology is built from.
 """
 
-from .base import CrossbarTopology, Topology
-from .fattree import FatTreeTopology, TwoLevelFabric
+from .base import CrossbarTopology, FabricSpec, Topology
+from .fattree import FatTreeTopology
 from .spec import TopologySpec
 from .study import TopologyScalingStudy, TopologyScalingResult
 from .torus import TorusTopology
 
 __all__ = [
     "CrossbarTopology",
+    "FabricSpec",
     "FatTreeTopology",
     "Topology",
     "TopologyScalingResult",
     "TopologyScalingStudy",
     "TopologySpec",
     "TorusTopology",
-    "TwoLevelFabric",
 ]

@@ -4,6 +4,8 @@ A :class:`Topology` owns the directed links of a fabric as named
 :class:`~repro.sim.FifoResource` objects and answers one question for
 the NIC models: :meth:`~Topology.wire_stages` — the pipeline stages a
 message from ``src`` to ``dst`` occupies, one per traversed link.
+:class:`FabricSpec` is the technology's wire parameter set that every
+topology consumes.
 Routing must be a pure deterministic function of (src, dst): both era
 technologies use source-routed / deterministic tables, and the repro's
 same-seed bit-identity contract depends on it.  Resource tiebreak keys
@@ -23,18 +25,45 @@ hop counts must stay within the topology's own bound.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from ..errors import ConfigurationError, NetworkError
 from ..sim import FifoResource, Stage
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..fabric.fabric import FabricSpec
     from ..sim import Simulator
 
 #: Routed (src, dst) pairs remembered for end-of-run invariant checks.
 #: Bounded so all-to-all traffic at 1024+ ranks cannot hoard memory.
 ROUTE_SAMPLE_LIMIT = 512
+
+
+@dataclass(frozen=True)
+class FabricSpec:
+    """Wire-level parameters of a fabric technology.
+
+    ``link_bandwidth`` is the usable payload bandwidth of one link
+    direction in bytes/us (MB/s): 4X InfiniBand signals at 10 Gb/s with
+    8b/10b coding for 8 Gb/s of data (1000 MB/s) less packet overheads;
+    Elan-4 links carry about 1.3 GB/s of payload each way.
+    """
+
+    link_bandwidth: float
+    #: Propagation + SerDes latency of one cable hop (us).
+    cable_latency: float
+    #: Switch crossing latency (us).
+    switch_latency: float
+    #: Packet/MTU size used as the pipelining chunk (bytes).
+    mtu: int
+
+    def __post_init__(self) -> None:
+        if self.link_bandwidth <= 0:
+            raise ConfigurationError("link bandwidth must be positive")
+        if self.mtu < 64:
+            raise ConfigurationError(f"unrealistic MTU: {self.mtu}")
+        if self.cable_latency < 0 or self.switch_latency < 0:
+            raise ConfigurationError("latencies must be non-negative")
 
 
 class Topology:

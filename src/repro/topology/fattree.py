@@ -34,8 +34,8 @@ from ..sim import Stage
 from .base import CrossbarTopology
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..fabric.fabric import FabricSpec
     from ..sim import Simulator
+    from .base import FabricSpec
 
 
 class FatTreeTopology(CrossbarTopology):
@@ -46,7 +46,7 @@ class FatTreeTopology(CrossbarTopology):
     pins and what-ifs).  Level meanings:
 
     * 1 — single chassis, identical to :class:`CrossbarTopology`;
-    * 2 — leaf/spine folded Clos (the old ``TwoLevelFabric``);
+    * 2 — leaf/spine folded Clos;
     * 3 — pods of ``m`` leaves and ``m`` aggregation switches under a
       core layer of ``m^2`` switches (``m = radix // 2``).
     """
@@ -84,9 +84,9 @@ class FatTreeTopology(CrossbarTopology):
             if levels != 2:
                 raise ConfigurationError(str(exc)) from exc
             # An *explicit* two-level tree past full-bisection capacity is
-            # allowed as an oversubscribed folded Clos — the historical
-            # ``TwoLevelFabric`` contract — using the same ceil arithmetic
-            # as :func:`~repro.cost.switchmath.two_level`, minus the cap.
+            # allowed as an oversubscribed folded Clos, using the same
+            # ceil arithmetic as :func:`~repro.cost.switchmath.two_level`,
+            # minus the cap.
             leaves = -(-n_nodes // m)
             spines = max(1, -(-leaves * m // radix))
             self.switch_count = switchmath.SwitchCount(
@@ -346,20 +346,3 @@ class FatTreeTopology(CrossbarTopology):
             self._isl_stage(f"isl:a{agg_dst}>l{dst_leaf}"),
             down,
         ]
-
-
-class TwoLevelFabric(FatTreeTopology):
-    """Deprecated alias: the pre-1.5 leaf/spine what-if fabric.
-
-    Since 1.5.0 the routing/contention implementation lives in
-    :class:`FatTreeTopology`; this thin subclass keeps the historical
-    constructor signature (and ``Machine(fabric_radix=...)`` keeps
-    building it), so ``isinstance`` checks and pickled references stay
-    valid.  New code should use :class:`FatTreeTopology` or a
-    :class:`~repro.topology.TopologySpec` with ``kind="fattree"``.
-    """
-
-    def __init__(
-        self, sim: "Simulator", n_nodes: int, spec: "FabricSpec", radix: int
-    ) -> None:
-        super().__init__(sim, n_nodes, spec, radix=radix, levels=2)

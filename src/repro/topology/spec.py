@@ -18,9 +18,8 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 from ..errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..fabric.fabric import FabricSpec
     from ..sim import Simulator
-    from .base import Topology
+    from .base import FabricSpec, Topology
 
 #: Topology kinds a spec may name.
 KINDS = ("crossbar", "fattree", "torus")

@@ -28,8 +28,8 @@ from ..sim import Stage
 from .base import Topology
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..fabric.fabric import FabricSpec
     from ..sim import Simulator
+    from .base import FabricSpec
 
 _AXES = ("x", "y", "z")
 

@@ -1,6 +1,6 @@
 """Version information for the :mod:`repro` package."""
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 #: Paper reproduced by this package.
 PAPER = (

@@ -23,6 +23,9 @@ pytestmark = pytest.mark.analysis
 #: The kernel root used by every allocation probe.
 ROOT = "repro.pkg.kernel.Simulator.run"
 
+#: The real package sources, for probes that plant bugs in a copy.
+REPO_SRC = Path(__file__).resolve().parents[2] / "src"
+
 
 def write_tree(tmp_path, files):
     """Lay out ``files`` (name -> source) as src/repro/pkg/<name>."""
@@ -246,6 +249,32 @@ class TestAllocationPass:
             """,
         })
         assert findings == []
+
+    def test_null_log_append_is_a_hot_root(self, tmp_path):
+        """An allocation planted in the disabled event log's append fires."""
+        real = REPO_SRC / "repro" / "telemetry" / "stream.py"
+        clean = real.read_text()
+        null_append = (
+            "    def append(self, now: float, category: str, message: str) -> bool:\n"
+            "        return False\n"
+        )
+        assert clean.count(null_append) == 1
+        planted = clean.replace(null_append, (
+            "    def append(self, now: float, category: str, message: str) -> bool:\n"
+            "        self.last = (now, category, message)\n"
+            "        return False\n"
+        ))
+        pkg = tmp_path / "src" / "repro" / "telemetry"
+        pkg.mkdir(parents=True)
+        (tmp_path / "src" / "repro" / "__init__.py").write_text("")
+        (pkg / "__init__.py").write_text("")
+        (pkg / "stream.py").write_text(clean)
+        assert audit_paths([tmp_path / "src"], root=tmp_path) == []
+        (pkg / "stream.py").write_text(planted)
+        findings = audit_paths([tmp_path / "src"], root=tmp_path)
+        assert rules_of(findings) == ["RPR022"]
+        assert "tuple display" in findings[0].message
+        assert findings[0].path.endswith("telemetry/stream.py")
 
 
 class TestProvenancePass:

@@ -212,3 +212,16 @@ def test_from_dict_key_matches_constructed_key():
          "app_args": {"size": 8.0}}
     )
     assert via_dict.key == spec.key
+
+
+def test_from_dict_rejects_unknown_keys():
+    typo = {"app": "pingpong", "network": "ib", "nodes": 2, "ppm": 2,
+            "topolgy": {"kind": "torus"}}
+    with pytest.raises(ConfigurationError) as info:
+        RunSpec.from_dict(typo)
+    message = str(info.value)
+    assert "['ppm', 'topolgy']" in message
+    assert "'ppn'" in message and "'topology'" in message
+    # The canonical form round-trips: every to_dict key is accepted.
+    spec = RunSpec(app="pingpong", network="ib", nodes=2)
+    assert RunSpec.from_dict(spec.to_dict()) == spec

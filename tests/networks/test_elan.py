@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.fabric import CrossbarFabric
+from repro.topology import CrossbarTopology
 from repro.hardware import Node
 from repro.mpi.matching import ANY_SOURCE, ANY_TAG
 from repro.networks.elan import ElanNic
@@ -15,7 +15,7 @@ from repro.units import KiB, MiB
 def make_pair(params=None):
     sim = Simulator()
     p = params or ElanParams()
-    fabric = CrossbarFabric(sim, 2, p.fabric)
+    fabric = CrossbarTopology(sim, 2, p.fabric)
     nodes = [Node(sim, i) for i in range(2)]
     nics = [ElanNic(sim, nodes[i], fabric, p) for i in range(2)]
     nics[0].attach_rank(0)

@@ -273,6 +273,15 @@ def test_bad_bodies_are_400(service):
         assert exc.code == 400
 
 
+def test_unknown_spec_keys_are_400(service):
+    typo = {"app": "pingpong", "network": "ib", "nodes": 2, "ppm": 2,
+            "topolgy": {"kind": "torus"}}
+    for body in (typo, {"spec": typo, "wait_s": 5}):
+        code, err = http_error("POST", service.url + "/v1/runs", body)
+        assert code == 400
+        assert "unknown RunSpec keys" in err["error"] and "topolgy" in err["error"]
+
+
 # -- restart resume -----------------------------------------------------------
 
 

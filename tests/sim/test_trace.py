@@ -1,52 +1,57 @@
-"""Unit tests for the tracer."""
+"""Unit tests for the protocol event log (``Telemetry(log=True)``)."""
 
-from repro.sim import Tracer
+from repro.sim import Simulator
+from repro.telemetry import EventStream, Telemetry
 
 
 def test_disabled_tracer_records_nothing():
-    t = Tracer(enabled=False)
-    t.log(1.0, "x", "msg")
-    assert len(t) == 0
+    log = Simulator().log  # plain simulators share the null log
+    assert not log.enabled
+    log.append(1.0, "x", "msg")
+    assert len(log) == 0
+    assert log.records == ()
 
 
 def test_records_in_order():
-    t = Tracer()
-    t.log(1.0, "a", "first")
-    t.log(2.0, "b", "second")
-    assert t.records == [(1.0, "a", "first"), (2.0, "b", "second")]
+    sim = Simulator(telemetry=Telemetry(log=True))
+    assert sim.log is sim.telemetry.log and sim.log.enabled
+    sim.log.append(1.0, "a", "first")
+    sim.log.append(2.0, "b", "second")
+    assert sim.log.records == [(1.0, "a", "first"), (2.0, "b", "second")]
 
 
 def test_category_filter():
-    t = Tracer(categories={"rndv"})
-    t.log(1.0, "rndv", "kept")
-    t.log(2.0, "eager", "dropped")
-    assert len(t) == 1
+    t = EventStream()
+    t.append(1.0, "rndv", "kept")
+    t.append(2.0, "eager", "other")
+    assert len(t) == 2
     assert t.select("rndv") == [(1.0, "rndv", "kept")]
-    assert t.select("eager") == []
+    assert t.select("eager") == [(2.0, "eager", "other")]
+    assert t.select("rdata") == []
 
 
 def test_limit_and_dropped_count():
-    t = Tracer(limit=2)
+    t = EventStream(limit=2)
     for i in range(5):
-        t.log(float(i), "c", "m")
+        t.append(float(i), "c", "m")
     assert len(t) == 2
     assert t.dropped == 3
 
 
 def test_clear():
-    t = Tracer()
-    t.log(1.0, "c", "m")
+    t = EventStream()
+    t.append(1.0, "c", "m")
     t.clear()
     assert len(t) == 0
     assert t.dropped == 0
 
 
 def test_summary_counts_categories_and_dropped():
-    t = Tracer(limit=4)
+    t = EventStream(limit=4)
     for i in range(3):
-        t.log(float(i), "rndv", "m")
-    t.log(3.0, "eager", "m")
-    t.log(4.0, "eager", "over limit")
+        t.append(float(i), "rndv", "m")
+    t.append(3.0, "eager", "m")
+    t.append(4.0, "eager", "over limit")
     s = t.summary()
     assert s["total"] == 4
     assert s["dropped"] == 1
@@ -54,7 +59,7 @@ def test_summary_counts_categories_and_dropped():
 
 
 def test_summary_empty_tracer():
-    assert Tracer().summary() == {
+    assert Telemetry(log=True).log.summary() == {
         "total": 0,
         "dropped": 0,
         "by_category": {},
@@ -63,12 +68,12 @@ def test_summary_empty_tracer():
 
 
 def test_summary_reports_drops_per_category():
-    t = Tracer(limit=2)
-    t.log(0.0, "rndv", "kept")
-    t.log(1.0, "eager", "kept")
-    t.log(2.0, "rndv", "over limit")
-    t.log(3.0, "rndv", "over limit")
-    t.log(4.0, "eager", "over limit")
+    t = EventStream(limit=2)
+    t.append(0.0, "rndv", "kept")
+    t.append(1.0, "eager", "kept")
+    t.append(2.0, "rndv", "over limit")
+    t.append(3.0, "rndv", "over limit")
+    t.append(4.0, "eager", "over limit")
     s = t.summary()
     assert s["dropped"] == 3
     assert s["dropped_by_category"] == {"eager": 1, "rndv": 2}
@@ -79,6 +84,6 @@ def test_summary_reports_drops_per_category():
 def test_summary_is_json_ready():
     import json
 
-    t = Tracer()
-    t.log(1.0, "a", "m")
+    t = EventStream()
+    t.append(1.0, "a", "m")
     assert json.loads(json.dumps(t.summary())) == t.summary()

@@ -6,7 +6,6 @@ import pytest
 
 from repro.microbench.pingpong import pingpong_program
 from repro.mpi import Machine
-from repro.sim import Tracer
 from repro.telemetry import (
     Telemetry,
     chrome_trace,
@@ -24,8 +23,7 @@ def traced_machine():
         "ib",
         2,
         seed=0,
-        trace=Tracer(enabled=True),
-        telemetry=Telemetry(metrics=True, timeline=True),
+        telemetry=Telemetry(metrics=True, timeline=True, log=True),
     )
     machine.run(pingpong_program(size=65536, repetitions=4))
     return machine
@@ -39,7 +37,7 @@ def test_trace_has_valid_shape(traced_machine):
     phases = {e["ph"] for e in events}
     assert "M" in phases  # metadata names
     assert "X" in phases  # resource occupancy spans
-    assert "i" in phases  # tracer instants
+    assert "i" in phases  # event-log instants
 
 
 def test_complete_events_have_nonnegative_duration(traced_machine):
@@ -112,8 +110,7 @@ def test_traces_are_deterministic(tmp_path):
             "ib",
             2,
             seed=3,
-            trace=Tracer(enabled=True),
-            telemetry=Telemetry(metrics=True, timeline=True),
+            telemetry=Telemetry(metrics=True, timeline=True, log=True),
         )
         machine.run(pingpong_program(size=4096, repetitions=3))
         docs.append(json.dumps(machine.chrome_trace(), sort_keys=True))

@@ -65,7 +65,7 @@ class TestTopologyAxes:
         with pytest.raises(ConfigurationError):
             RunSpec(
                 app="pingpong", network="elan", nodes=8,
-                fabric_radix=8, topology=(("kind", "torus"),),
+                topology=(("kind", "torus"), ("radix", 3)),
             )
 
     def test_keys_distinguish_topologies(self):

@@ -115,18 +115,14 @@ def test_link_occupancy_appears_in_telemetry():
     assert link_metrics, "expected resource.link.* occupancy metrics"
 
 
-def test_topology_and_fabric_radix_are_mutually_exclusive():
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        Machine("elan", 8, fabric_radix=4, topology=TopologySpec())
-
-
 def test_machine_records_its_topology_spec():
     m = Machine("elan", 4)
     assert m.topology == TopologySpec()
-    m = Machine("elan", 8, fabric_radix=4)
-    assert m.topology == TopologySpec(kind="fattree", radix=4, levels=2)
+    tree = TopologySpec(kind="fattree", radix=4, levels=2)
+    m = Machine("elan", 8, topology=tree)
+    assert m.topology == tree
+    m = Machine("elan", 8, topology={"kind": "fattree", "radix": 4, "levels": 2})
+    assert m.topology == tree
 
 
 class TestLinkTargetedFaults:

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fabric import FabricSpec
 from repro.sim import Simulator
 from repro.topology import (
     CrossbarTopology,
+    FabricSpec,
     FatTreeTopology,
     TopologySpec,
     TorusTopology,
