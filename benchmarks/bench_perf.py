@@ -3,7 +3,7 @@
 Not a paper figure — a performance acceptance pass for the topology
 and failover subsystems.  Since the perf-ladder refactor both tests
 are thin wrappers over :mod:`repro.perf.ladder`: the same rungs the
-``repro-perf`` CLI runs, reduced to the historical
+``repro perf`` CLI runs, reduced to the historical
 ``BENCH_topology.json`` / ``BENCH_chaos.json`` projections.  One code
 path feeds the CLI's unified ``BENCH_perf.json`` and these trend
 files; CI uploads them as artifacts for trajectory tracking.

@@ -1,6 +1,6 @@
 """Serve-layer throughput: cached queries per second over HTTP.
 
-Not a paper figure — a performance acceptance pass for ``repro-serve``.
+Not a paper figure — a performance acceptance pass for ``repro serve``.
 A warmed daemon must answer repeated cached ``POST /v1/runs`` queries at
 wire speed: every request pays full HTTP parsing, spec canonicalization,
 key derivation and the in-memory LRU lookup, so a regression anywhere on
@@ -47,7 +47,7 @@ def _post(conn: http.client.HTTPConnection, path: str, body: dict) -> dict:
 def _measure_serve(queries: int) -> list:
     root = Path(tempfile.mkdtemp(prefix="bench-serve-"))
     # Warm the cache through the batch engine: the daemon then serves
-    # the exact record repro-campaign produced.
+    # the exact record repro campaign produced.
     batch = CampaignEngine(root=root, workers=1, echo=None).run_specs(
         [RunSpec.from_dict(SPEC)]
     )

@@ -1,9 +1,8 @@
 #!/usr/bin/env python
 """Regenerate the entire paper — every table and figure — in one run.
 
-Equivalent to the installed ``repro-report`` console script.  Expect
-roughly 20-40 minutes at paper scale, or pass ``--quick`` for a smoke
-pass in about two minutes.
+Equivalent to ``repro report``.  Expect roughly 20-40 minutes at paper
+scale, or pass ``--quick`` for a smoke pass in about two minutes.
 
 Run:  python examples/full_report.py --quick
       python examples/full_report.py > report.txt
@@ -11,7 +10,7 @@ Run:  python examples/full_report.py --quick
 
 import sys
 
-from repro.core.report import main
+from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main(["report", *sys.argv[1:]]))

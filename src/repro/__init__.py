@@ -26,7 +26,7 @@ Quickstart::
         print(network, machine.run(pingpong).elapsed_us)
 
 See ``repro.core.figures.EXPERIMENTS`` for the per-figure generators and
-the ``repro-report`` console script for the full reproduction.
+the ``repro report`` command for the full reproduction.
 """
 
 from .apps import (

@@ -6,18 +6,18 @@ rests on one repo-wide invariant: *same-seed runs are bit-identical and
 serial == parallel*.  This package enforces that contract mechanically,
 at three layers:
 
-* :mod:`~repro.analysis.rules` / :mod:`~repro.analysis.linter` — the
-  ``repro-lint`` AST linter: eight rules targeting the hazards that
-  actually corrupt simulation results (wall-clock reads, unseeded RNG,
-  unordered ``set`` iteration, float accumulation over dict views,
-  mutable default arguments, non-``Event`` yields in sim processes,
-  unpicklable campaign spec values, telemetry allocation on the
-  disabled path, swallowed simulation errors).
-* :mod:`~repro.analysis.flow` — the ``repro-audit`` whole-program
-  dataflow analyzer: a symbol table + call graph over the entire tree
-  feeding three interprocedural passes — units checking (RPR020/021),
-  hot-path allocation gating (RPR022) and RNG provenance (RPR023) —
-  catching the cross-module hazards the per-file linter cannot see.
+* :mod:`~repro.analysis.linter` — the ``repro lint`` analyzer.  It
+  parses each file once and runs one rule table
+  (:mod:`~repro.analysis.rules`) over it: per-file rules targeting the
+  hazards that actually corrupt simulation results (wall-clock reads,
+  unseeded RNG, unordered ``set`` iteration, float accumulation over
+  dict views, mutable default arguments, non-``Event`` yields in sim
+  processes, unpicklable campaign spec values, telemetry allocation on
+  the disabled path, swallowed simulation errors, ...), then the
+  whole-program dataflow passes of :mod:`~repro.analysis.flow` — units
+  checking (RPR020/021), hot-path allocation gating (RPR022) and RNG
+  provenance (RPR023) — catching the cross-module hazards a per-file
+  rule cannot see.
 * :mod:`~repro.analysis.sanitizer` — an opt-in runtime sanitizer that
   flags same-timestamp event pairs touching one resource without a
   deterministic tiebreak key: the sim-level analogue of a data race.
@@ -26,23 +26,19 @@ at three layers:
   consistent, lifecycle spans closed) raising a structured
   :class:`~repro.errors.InvariantViolation`.
 
-The linter ships with an empty baseline for ``src/repro`` — the tree is
-clean — and CI fails on any *new* finding, so a stray
-``random.random()`` or hash-ordered iteration cannot silently land.
+The analyzer ships with an empty baseline — the tree is clean — and CI
+fails on any *new* finding, so a stray ``random.random()`` or
+hash-ordered iteration cannot silently land.
 """
 
 from ..errors import InvariantViolation
 from .baseline import Baseline
-from .flow import AUDIT_RULES, audit_paths, audit_rule_ids
 from .invariants import Violation, check_invariants, verify_invariants
-from .linter import Finding, lint_files, lint_paths
+from .linter import Finding, lint_paths
 from .rules import RULES, rule_ids
 from .sanitizer import RaceFinding, RaceSanitizer
 
 __all__ = [
-    "AUDIT_RULES",
-    "audit_paths",
-    "audit_rule_ids",
     "Baseline",
     "Finding",
     "InvariantViolation",
@@ -51,7 +47,6 @@ __all__ = [
     "RULES",
     "Violation",
     "check_invariants",
-    "lint_files",
     "lint_paths",
     "rule_ids",
     "verify_invariants",

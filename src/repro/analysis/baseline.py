@@ -1,4 +1,4 @@
-"""Committed-baseline gating for ``repro-lint``.
+"""Committed-baseline gating for ``repro lint``.
 
 The baseline file records the fingerprints of findings that predate the
 linter (or were accepted deliberately).  CI compares a fresh lint run

@@ -1,11 +1,11 @@
-"""``repro-lint`` — determinism linter for the repro simulator tree.
+"""``repro lint`` — the determinism analyzer's command line.
 
 Usage::
 
-    repro-lint src benchmarks --baseline .repro-lint-baseline.json
-    repro-lint src/repro --format json
-    repro-lint --list-rules
-    repro-lint src --baseline b.json --update-baseline
+    repro lint src benchmarks --baseline .repro-lint-baseline.json
+    repro lint src/repro --format json
+    repro lint --list-rules
+    repro lint src --baseline b.json --update-baseline
 
 Exit status: 0 when no **new** findings (relative to the baseline, or
 to an empty baseline when none is given); 1 when new findings exist;
@@ -15,29 +15,48 @@ to an empty baseline when none is given); 1 when new findings exist;
 from __future__ import annotations
 
 import argparse
-import sys
 from pathlib import Path
-from typing import List, Optional
 
+from ..errors import ReproError
 from .baseline import Baseline
 from .linter import lint_paths
 from .reporters import render_json, render_rules, render_text
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description=(
-            "AST linter enforcing the simulator's determinism contract "
-            "(rules RPR001-RPR008)."
-        ),
-    )
+def cmd_lint(args: argparse.Namespace) -> int:
+    if args.list_rules:
+        print(render_rules())
+        return 0
+    if not args.paths:
+        raise ReproError("no paths given (or use --list-rules)")
+    if args.update_baseline and args.baseline is None:
+        raise ReproError("--update-baseline requires --baseline FILE")
+    missing = [p for p in args.paths if not p.exists()]
+    if missing:
+        raise ReproError("no such path: " + ", ".join(str(p) for p in missing))
+
+    findings = lint_paths(args.paths)
+
+    if args.update_baseline:
+        Baseline.from_findings(findings).save(args.baseline)
+        print(f"repro lint: wrote {len(findings)} entries to {args.baseline}")
+        return 0
+
+    diff = Baseline.load_or_empty(args.baseline).split(findings)
+    if args.format == "json":
+        print(render_json(diff))
+    else:
+        print(render_text(diff, show_known=args.show_known))
+    return 0 if diff.ok else 1
+
+
+def configure(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "paths",
         nargs="*",
         type=Path,
-        help="files or directories to lint (directories are walked "
-        "for *.py), or the literal 'list-rules'",
+        help="files or directories to analyze (directories are walked "
+        "for *.py)",
     )
     parser.add_argument(
         "--baseline",
@@ -69,46 +88,4 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the rule catalogue and exit",
     )
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.list_rules or [str(p) for p in args.paths] == ["list-rules"]:
-        print(render_rules())
-        return 0
-    if not args.paths:
-        parser.error("no paths given (or use list-rules)")
-    if args.update_baseline and args.baseline is None:
-        parser.error("--update-baseline requires --baseline FILE")
-
-    missing = [p for p in args.paths if not p.exists()]
-    if missing:
-        parser.error(
-            "no such path: " + ", ".join(str(p) for p in missing)
-        )
-
-    findings = lint_paths(args.paths)
-
-    if args.update_baseline:
-        Baseline.from_findings(findings).save(args.baseline)
-        print(
-            f"repro-lint: wrote {len(findings)} entries to "
-            f"{args.baseline}"
-        )
-        return 0
-
-    baseline = Baseline.load_or_empty(args.baseline)
-    diff = baseline.split(findings)
-
-    if args.format == "json":
-        print(render_json(diff))
-    else:
-        print(render_text(diff, show_known=args.show_known))
-    return 0 if diff.ok else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    parser.set_defaults(func=cmd_lint)

@@ -1,8 +1,8 @@
-"""``repro.analysis.flow`` — whole-program dataflow audit (``repro-audit``).
+"""``repro.analysis.flow`` — the whole-program dataflow passes of ``repro lint``.
 
-Where ``repro-lint`` sees one file at a time, the auditor parses the
-whole tree once into a :class:`~.symbols.SymbolTable` and a
-:class:`~.callgraph.CallGraph`, then runs three interprocedural passes:
+Where the per-file rules see one module at a time, these passes work on
+the :class:`~.symbols.SymbolTable` and :class:`~.callgraph.CallGraph`
+of the whole analyzed tree:
 
 * :mod:`~.dimensions` — units checking (RPR020/RPR021): time-us vs
   time-s vs bytes vs B/us vs dollars, inferred from name suffixes,
@@ -13,90 +13,22 @@ whole tree once into a :class:`~.symbols.SymbolTable` and a
 * :mod:`~.provenance` — RNG provenance (RPR023): every random draw must
   provably reach a named seeded stream.
 
-Findings reuse the linter's :class:`~repro.analysis.linter.Finding`
-machinery — content fingerprints, per-line ``# repro-audit:
-disable=RPRnnn`` suppressions, the committed-baseline gate and the
-text/JSON reporters — so ``repro-audit`` slots into CI with the same
-0/1/2 exit-code convention as ``repro-lint``.
+:func:`repro.analysis.linter.lint_paths` builds the table once, runs
+these passes after the per-file rules, and assembles every hit into
+one suppression-aware, baseline-gated report.
 """
 
-from __future__ import annotations
-
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence
-
-from ..linter import Finding, assemble_findings, parse_suppressions
-from ..rules import RawFinding
 from .allocations import DEFAULT_HOT_ROOTS, check_allocations
 from .callgraph import CallGraph
 from .dimensions import check_dimensions
 from .provenance import check_provenance
-from .rules import AUDIT_RULES, audit_rule_ids
 from .symbols import SymbolTable
 
-
-class Project:
-    """One parsed tree: symbol table + call graph, built once."""
-
-    def __init__(self, symtab: SymbolTable) -> None:
-        self.symtab = symtab
-        self.callgraph = CallGraph(symtab)
-
-    @classmethod
-    def load(
-        cls, paths: Sequence[Path], root: Optional[Path] = None
-    ) -> "Project":
-        return cls(SymbolTable.build(paths, root=root))
-
-
-def audit_project(
-    project: Project,
-    roots: Sequence[str] = DEFAULT_HOT_ROOTS,
-) -> List[Finding]:
-    """Run all three passes and assemble suppression-aware findings."""
-    raw_by_path: Dict[str, List[RawFinding]] = {}
-    for pass_result in (
-        check_dimensions(project.symtab, project.callgraph),
-        check_allocations(project.symtab, project.callgraph, roots),
-        check_provenance(project.symtab, project.callgraph),
-    ):
-        for path, raw in pass_result.items():
-            raw_by_path.setdefault(path, []).extend(raw)
-
-    source_by_path = {
-        mod.path: mod.source for mod in project.symtab.modules.values()
-    }
-    findings: List[Finding] = []
-    for path in sorted(raw_by_path):
-        source = source_by_path.get(path, "")
-        suppressed = parse_suppressions(
-            source, tool="audit", all_rules=AUDIT_RULES
-        )
-        findings.extend(
-            assemble_findings(
-                sorted(raw_by_path[path]), source, path, suppressed
-            )
-        )
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
-def audit_paths(
-    paths: Sequence[Path],
-    root: Optional[Path] = None,
-    roots: Sequence[str] = DEFAULT_HOT_ROOTS,
-) -> List[Finding]:
-    """Audit every ``.py`` file under the given files/directories."""
-    return audit_project(Project.load(paths, root=root), roots=roots)
-
-
 __all__ = [
-    "AUDIT_RULES",
     "CallGraph",
     "DEFAULT_HOT_ROOTS",
-    "Project",
     "SymbolTable",
-    "audit_paths",
-    "audit_project",
-    "audit_rule_ids",
+    "check_allocations",
+    "check_dimensions",
+    "check_provenance",
 ]

@@ -26,7 +26,7 @@ expression: dict/list/set/tuple displays, comprehensions, f-strings,
 
 The kernel keeps a handful of *sanctioned* allocations — the heap-entry
 tuple, the waiter pair, the sanitizer key stamp — each carrying an
-inline ``# repro-audit: disable=RPR022`` with its justification; those
+inline ``# repro-lint: disable=RPR022`` with its justification; those
 are the allocations the profiler already accounts for, and the point of
 the gate is that adding an *unsanctioned* one fails CI.
 """

@@ -1,9 +1,11 @@
-"""Whole-program symbol table for the ``repro-audit`` dataflow passes.
+"""Whole-program symbol table: the one parse behind ``repro lint``.
 
-Every module under the audited paths is parsed exactly once; the table
-records, per module, the import bindings (local name -> fully qualified
-target), every function/method definition as a :class:`FunctionSymbol`
-addressable by qualified name, and every class with its base names —
+Every module under the analyzed paths is parsed exactly once; the
+per-file rules run on the recorded trees and the dataflow passes on the
+table.  The table records, per module, the import bindings (local name
+-> fully qualified target), every function/method definition as a
+:class:`FunctionSymbol` addressable by qualified name, and every class
+with its base names —
 enough for the call-graph builder to resolve direct calls, ``self``
 method calls (including through single inheritance) and module-alias
 attribute calls without ever importing the analyzed code.
@@ -14,7 +16,7 @@ exists), with ``__init__`` dropped — so ``src/repro/sim/engine.py``
 becomes ``repro.sim.engine`` both in the real tree and in test fixtures
 that mimic its layout under a tmp dir.
 
-Everything is stored and iterated in sorted order so two audits of the
+Everything is stored and iterated in sorted order so two runs over the
 same tree emit byte-identical reports.
 """
 
@@ -23,9 +25,40 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..linter import _rel_label, iter_python_files
+#: Directory names never descended into when walking a tree.
+_SKIP_DIRS = {
+    ".git", "__pycache__", ".pytest_cache", "build", "dist",
+    ".eggs", "node_modules", ".tox", ".venv", "venv",
+}
+
+
+def iter_python_files(paths: Sequence[Path]) -> List[Path]:
+    """Expand files/directories into a sorted list of ``.py`` files.
+
+    The result is deduplicated and sorted by POSIX path string,
+    regardless of the order ``paths`` were given in or the order the
+    filesystem yields directory entries — so findings (and therefore
+    baseline diffs) are stable across machines and filesystems.
+    """
+    out: Set[Path] = set()
+    for path in paths:
+        path = Path(path)
+        if path.is_dir():
+            for sub in path.rglob("*.py"):
+                if not any(part in _SKIP_DIRS for part in sub.parts):
+                    out.add(sub)
+        elif path.suffix == ".py":
+            out.add(path)
+    return sorted(out, key=lambda p: p.as_posix())
+
+
+def _rel_label(file: Path, root: Path) -> str:
+    try:
+        return file.resolve().relative_to(root.resolve()).as_posix()
+    except ValueError:
+        return file.as_posix()
 
 
 def module_name_for(path: Path, root: Path) -> str:
@@ -165,12 +198,17 @@ def _base_name(node: ast.AST) -> Optional[str]:
 
 
 class SymbolTable:
-    """All modules and functions of one audited tree."""
+    """All modules and functions of one analyzed tree."""
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleTable] = {}
         self.functions: Dict[str, FunctionSymbol] = {}
         self.classes: Dict[str, ClassSymbol] = {}
+        #: Path label -> parsed module, one per file even when two files
+        #: map to the same dotted module name.
+        self.by_path: Dict[str, ModuleTable] = {}
+        #: Path label -> the error of a file that failed to parse.
+        self.syntax_errors: Dict[str, SyntaxError] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -186,8 +224,9 @@ class SymbolTable:
             label = _rel_label(Path(file), root)
             try:
                 tree = ast.parse(source, filename=label)
-            except SyntaxError:
-                continue  # the linter reports syntax errors (RPR000)
+            except SyntaxError as exc:
+                table.syntax_errors[label] = exc
+                continue
             table._add_module(module_name_for(Path(file), root), label, tree, source)
         return table
 
@@ -209,6 +248,7 @@ class SymbolTable:
             elif isinstance(node, ast.ClassDef):
                 self._add_class(mod, node)
         self.modules[name] = mod
+        self.by_path[path] = mod
 
     def _add_class(self, mod: ModuleTable, node: ast.ClassDef) -> None:
         cls_sym = ClassSymbol(

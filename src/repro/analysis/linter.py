@@ -1,13 +1,14 @@
-"""File walking, suppression handling, and findings for ``repro-lint``.
+"""The ``repro lint`` analyzer: one parse, every rule, one report.
 
-The linter parses each file once with :mod:`ast` (rules) and once with
-:mod:`tokenize` (suppression comments).  A finding is suppressed when
-its line carries ``# repro-lint: disable=RPRnnn[, RPRmmm...]`` or
-``# repro-lint: disable=all``.  Rule lists may be separated by commas
-with or without spaces, and trailing prose after the list is ignored
-(``# repro-lint: disable=RPR003, RPR007 -- sanctioned heap entry``).
-The whole-program auditor (:mod:`repro.analysis.flow`) shares this
-machinery under its own ``# repro-audit: disable=...`` tag.
+:func:`lint_paths` parses each file once with :mod:`ast` into the
+whole-program :class:`~repro.analysis.flow.symbols.SymbolTable`, runs
+the per-file rules on every tree and the dataflow passes on the table,
+and reads suppression comments with :mod:`tokenize`.  A finding is
+suppressed when its line carries ``# repro-lint: disable=RPRnnn[,
+RPRmmm...]`` or ``# repro-lint: disable=all``.  Rule lists may be
+separated by commas with or without spaces, and trailing prose after
+the list is ignored (``# repro-lint: disable=RPR003, RPR007 --
+sanctioned heap entry``).
 
 Findings carry a content-based :attr:`Finding.fingerprint` so the
 committed baseline survives unrelated edits: it hashes the rule id, the
@@ -26,23 +27,20 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from .flow.allocations import DEFAULT_HOT_ROOTS, check_allocations
+from .flow.callgraph import CallGraph
+from .flow.dimensions import check_dimensions
+from .flow.provenance import check_provenance
+from .flow.symbols import SymbolTable
 from .rules import RULES, RawFinding, run_rules
 
-_SUPPRESS_RE = re.compile(
-    r"#\s*repro-(lint|audit):\s*disable=([A-Za-z0-9_,\s-]+)"
-)
+_SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s-]+)")
 
 #: A rule token is ``all`` or a rule id like ``RPR003``; anything else in
 #: a disable list (trailing prose, a justification) is ignored.
 _RULE_TOKEN_RE = re.compile(r"^(all|[A-Za-z]{2,4}\d{3})$", re.IGNORECASE)
-
-#: Directory names never descended into when walking a tree.
-_SKIP_DIRS = {
-    ".git", "__pycache__", ".pytest_cache", "build", "dist",
-    ".eggs", "node_modules", ".tox", ".venv", "venv",
-}
 
 
 @dataclass(frozen=True)
@@ -84,22 +82,16 @@ class Finding:
         }
 
 
-def parse_suppressions(
-    source: str,
-    tool: str = "lint",
-    all_rules: Optional[Mapping[str, str]] = None,
-) -> Dict[int, Set[str]]:
+def parse_suppressions(source: str) -> Dict[int, Set[str]]:
     """Map line number -> rule ids disabled on that line.
 
-    ``tool`` selects the comment tag honored (``repro-lint:`` or
-    ``repro-audit:``); ``all_rules`` is the universe the special token
-    ``all`` expands to (defaults to the linter's rule table).  Rule
-    lists split on commas, tolerate surrounding whitespace
-    (``disable=RPR003, RPR007``), and drop any trailing prose after a
-    rule token rather than corrupting the token.  Tokenizing (not
-    substring search) keeps the directive out of string literals.
+    The special token ``all`` expands to every rule in :data:`RULES`,
+    per-file and whole-program alike.  Rule lists split on commas,
+    tolerate surrounding whitespace (``disable=RPR003, RPR007``), and
+    drop any trailing prose after a rule token rather than corrupting
+    the token.  Tokenizing (not substring search) keeps the directive
+    out of string literals.
     """
-    universe = RULES if all_rules is None else all_rules
     suppressed: Dict[int, Set[str]] = {}
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
@@ -107,10 +99,10 @@ def parse_suppressions(
             if tok.type != tokenize.COMMENT:
                 continue
             match = _SUPPRESS_RE.search(tok.string)
-            if not match or match.group(1) != tool:
+            if not match:
                 continue
             ids: Set[str] = set()
-            for part in match.group(2).split(","):
+            for part in match.group(1).split(","):
                 words = part.split()
                 if not words:
                     continue
@@ -120,7 +112,7 @@ def parse_suppressions(
                 if not _RULE_TOKEN_RE.match(token):
                     continue
                 if token.lower() == "all":
-                    ids.update(universe)
+                    ids.update(RULES)
                 else:
                     ids.add(token.upper())
             suppressed.setdefault(tok.start[0], set()).update(ids)
@@ -129,21 +121,27 @@ def parse_suppressions(
     return suppressed
 
 
+def _syntax_finding(path: str, exc: SyntaxError) -> Finding:
+    return Finding(
+        path=path,
+        line=exc.lineno or 1,
+        col=(exc.offset or 1) - 1,
+        rule="RPR000",
+        message=f"syntax error: {exc.msg}",
+        text="",
+    )
+
+
 def lint_source(source: str, path: str) -> List[Finding]:
-    """Lint one module's source text. ``path`` labels the findings."""
+    """Per-file rules (RPR001-RPR012) over one module's source text.
+
+    ``path`` labels the findings.  The whole-program passes need a tree
+    of modules, so they run only through :func:`lint_paths`.
+    """
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        return [
-            Finding(
-                path=path,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                rule="RPR000",
-                message=f"syntax error: {exc.msg}",
-                text="",
-            )
-        ]
+        return [_syntax_finding(path, exc)]
     raw = run_rules(tree, path=path)
     if not raw:
         return []
@@ -160,8 +158,7 @@ def assemble_findings(
 
     Applies per-line suppressions, attaches the flagged line's text, and
     stamps the occurrence index that makes fingerprints of duplicated
-    lines distinct.  Shared by the linter and the ``repro-audit``
-    dataflow passes so both tools get identical baseline semantics.
+    lines distinct.
     """
     lines = source.splitlines()
     counts: Dict[Tuple[str, str], int] = {}
@@ -187,49 +184,45 @@ def assemble_findings(
     return findings
 
 
-def _rel_label(file: Path, root: Path) -> str:
-    try:
-        return file.resolve().relative_to(root.resolve()).as_posix()
-    except ValueError:
-        return file.as_posix()
-
-
-def lint_files(
-    files: Iterable[Path], root: Path = None  # type: ignore[assignment]
+def lint_paths(
+    paths: Sequence[Path],
+    root: Optional[Path] = None,
+    roots: Sequence[str] = DEFAULT_HOT_ROOTS,
 ) -> List[Finding]:
-    """Lint the given files; paths in findings are relative to ``root``."""
-    root = root or Path.cwd()
-    findings: List[Finding] = []
-    for file in files:
-        source = Path(file).read_text(encoding="utf-8", errors="replace")
-        findings.extend(lint_source(source, _rel_label(Path(file), root)))
+    """Analyze every ``.py`` file under the given files/directories.
+
+    Each file is parsed once into a :class:`SymbolTable`.  The per-file
+    rules run on every parsed tree, then the three whole-program passes
+    (units, hot-path allocations from ``roots``, RNG provenance) run on
+    the table; suppressions apply once per file to the merged hits.
+    Paths in findings are relative to ``root`` (default: the cwd).
+    """
+    table = SymbolTable.build(paths, root=root or Path.cwd())
+    callgraph = CallGraph(table)
+    raw_by_path: Dict[str, List[RawFinding]] = {
+        path: run_rules(mod.tree, path=path)
+        for path, mod in sorted(table.by_path.items())
+    }
+    for pass_result in (
+        check_dimensions(table, callgraph),
+        check_allocations(table, callgraph, roots),
+        check_provenance(table, callgraph),
+    ):
+        for path, raw in pass_result.items():
+            raw_by_path.setdefault(path, []).extend(raw)
+
+    findings = [
+        _syntax_finding(path, exc)
+        for path, exc in sorted(table.syntax_errors.items())
+    ]
+    for path, raw in sorted(raw_by_path.items()):
+        if not raw:
+            continue
+        source = table.by_path[path].source
+        findings.extend(
+            assemble_findings(
+                sorted(raw), source, path, parse_suppressions(source)
+            )
+        )
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
-
-
-def iter_python_files(paths: Sequence[Path]) -> List[Path]:
-    """Expand files/directories into a sorted list of ``.py`` files.
-
-    The result is deduplicated and sorted by POSIX path string,
-    regardless of the order ``paths`` were given in or the order the
-    filesystem yields directory entries — so lint/audit findings (and
-    therefore baseline diffs) are stable across machines and
-    filesystems.
-    """
-    out: Set[Path] = set()
-    for path in paths:
-        path = Path(path)
-        if path.is_dir():
-            for sub in path.rglob("*.py"):
-                if not any(part in _SKIP_DIRS for part in sub.parts):
-                    out.add(sub)
-        elif path.suffix == ".py":
-            out.add(path)
-    return sorted(out, key=lambda p: p.as_posix())
-
-
-def lint_paths(
-    paths: Sequence[Path], root: Path = None  # type: ignore[assignment]
-) -> List[Finding]:
-    """Lint every ``.py`` file under the given files/directories."""
-    return lint_files(iter_python_files(paths), root=root)

@@ -1,4 +1,4 @@
-"""The ``repro-lint`` rule set: simulator-specific determinism hazards.
+"""The ``repro lint`` rule table: simulator-specific determinism hazards.
 
 Each rule targets a way real PRs have been observed (here and in other
 discrete-event codebases) to silently break the repo's determinism
@@ -31,7 +31,23 @@ RPR012      ``time.perf_counter``/``time.monotonic`` inside
             ``repro.sim``, ``repro.networks`` or ``repro.mpi``:
             wall-clock reads on the kernel hot path belong to the
             ``repro.perf`` profiler seam (path-scoped rule)
+RPR020      mixed-dimension arithmetic or comparison (``_us`` + ``_s``,
+            ``_bytes`` < ``_us``, ...), units inferred and propagated
+            whole-program (:mod:`~repro.analysis.flow.dimensions`)
+RPR021      argument whose inferred dimension contradicts the callee
+            parameter's declared/inferred dimension
+RPR022      per-event allocation on a kernel hot path reachable from
+            the event loop, the grant paths or a disabled
+            telemetry/perf singleton (:mod:`~repro.analysis.flow.allocations`)
+RPR023      random draw whose receiver does not provably come from a
+            named seeded stream, traced interprocedurally
+            (:mod:`~repro.analysis.flow.provenance`)
 ==========  ==========================================================
+
+RPR001-RPR012 are per-file pattern checks run by :func:`run_rules`;
+RPR020-RPR023 are the whole-program dataflow passes of
+:mod:`repro.analysis.flow`.  Both feed one report, one baseline and one
+suppression tag.
 
 Rules are deliberately narrow: each pattern flagged is one a reviewer
 would reject on sight, so a finding is actionable and a clean tree can
@@ -45,7 +61,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Set, Tuple
 
-#: Rule id -> one-line description (shown by ``repro-lint --list-rules``).
+#: Rule id -> one-line description (shown by ``repro lint --list-rules``).
 RULES: Dict[str, str] = {
     "RPR001": (
         "wall-clock or unseeded RNG use outside repro.sim.rng named "
@@ -99,6 +115,26 @@ RULES: Dict[str, str] = {
         "time.perf_counter/time.monotonic inside repro.sim, "
         "repro.networks or repro.mpi; wall-clock reads on the kernel "
         "hot path belong to the repro.perf profiler seam"
+    ),
+    "RPR020": (
+        "mixed-dimension arithmetic/comparison: operands carry "
+        "different inferred units (time-us vs time-s, bytes vs time, "
+        "...), which silently corrupts every derived figure"
+    ),
+    "RPR021": (
+        "wrong-dimension argument: the value passed has an inferred "
+        "unit that contradicts the callee parameter's name suffix or "
+        "annotation"
+    ),
+    "RPR022": (
+        "per-event allocation (dict/list/set/tuple/comprehension/"
+        "f-string/closure) on a kernel hot path reachable from the "
+        "event loop, grant paths or disabled telemetry singletons"
+    ),
+    "RPR023": (
+        "random draw that does not provably reach a named seeded "
+        "stream (rng.stream(...)); ambient random/numpy.random "
+        "generators break same-seed reproducibility"
     ),
 }
 

@@ -22,7 +22,7 @@ Quickstart::
     print(result.summary())          # hit rate, wall time, errors
     print(result.values())           # one scalar per run, in order
 
-See the ``repro-campaign`` console script for file-driven campaigns.
+See ``repro campaign`` for file-driven campaigns.
 """
 
 from .adapters import run_study, study_spec

@@ -5,7 +5,7 @@ ScalingStudy` through a :class:`~.engine.CampaignEngine` — same cells,
 same seeds, same assembly — so existing figure generators gain caching
 and parallelism without any change in their numbers.  :func:`study_spec`
 exposes the same sweep as a :class:`~.spec.CampaignSpec` for the
-``repro-campaign`` CLI.
+``repro campaign`` CLI.
 """
 
 from __future__ import annotations

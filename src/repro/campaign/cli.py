@@ -1,8 +1,9 @@
-"""``repro-campaign`` console script: run / status / clean.
+"""``repro campaign``: run / chaos / status / clean.
 
 ``run`` executes a campaign described by a JSON spec file (see
-EXPERIMENTS.md for the format), ``status`` summarizes a campaign root's
-journal and cache, and ``clean`` deletes the cached results and journal.
+EXPERIMENTS.md for the format), ``chaos`` sweeps hard link failures,
+``status`` summarizes a campaign root's journal and cache, and ``clean``
+deletes the cached results and journal.
 
 Example spec file::
 
@@ -21,9 +22,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
 
-from ..errors import ReproError
+from ..cli import add_pair_option
 from .cache import ResultCache
 from .chaos import ChaosStudy
 from .engine import DEFAULT_ROOT, CampaignEngine
@@ -81,7 +81,7 @@ def status_payload(root, tail: int = 5) -> dict:
     """Machine-readable campaign-root status.
 
     The single source of truth for campaign-state reporting: the
-    human-readable ``repro-campaign status`` text, its ``--json`` mode
+    human-readable ``repro campaign status`` text, its ``--json`` mode
     and the serve daemon's ``GET /v1/status`` all render this dict.
     """
     journal = Journal(f"{root}/journal.jsonl")
@@ -194,42 +194,18 @@ def cmd_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _coerce(text: str):
-    """CLI value -> JSON scalar: int, float, bool or string."""
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for kind in (int, float):
-        try:
-            return kind(text)
-        except ValueError:
-            continue
-    return text
-
-
-def _pairs(items) -> dict:
-    """Parse repeated ``key=value`` options into a dict."""
-    out = {}
-    for item in items or []:
-        key, sep, value = item.partition("=")
-        if not sep or not key:
-            raise ReproError(f"expected key=value, got {item!r}")
-        out[key] = _coerce(value)
-    return out
-
-
 def cmd_chaos(args: argparse.Namespace) -> int:
     study = ChaosStudy(
         app=args.app,
-        app_args=_pairs(args.arg),
+        app_args=dict(args.arg),
         nodes=args.nodes,
         ppn=args.ppn,
-        topology=_pairs(args.topology),
+        topology=dict(args.topology),
         networks=tuple(args.network or ("ib", "elan")),
         kill_links=tuple(args.link or ()),
         fractions=tuple(args.at or (0.25, 0.5, 0.75)),
         seed=args.seed,
-        fault_knobs=_pairs(args.fault),
+        fault_knobs=dict(args.fault),
     )
     engine = CampaignEngine(
         root=args.root,
@@ -259,13 +235,8 @@ def cmd_clean(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-campaign",
-        description="Parallel, cached, resumable experiment campaigns "
-        "over the InfiniBand/Elan-4 simulator.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def configure(parser: argparse.ArgumentParser) -> None:
+    sub = parser.add_subparsers(dest="action", required=True)
 
     run = sub.add_parser("run", help="execute a campaign spec file")
     run.add_argument("spec", help="JSON campaign spec file")
@@ -341,11 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--app", default="is", help="application id (default: is, all-to-all)"
     )
-    chaos.add_argument(
-        "--arg",
-        action="append",
-        metavar="KEY=VALUE",
-        help="application argument (repeatable; e.g. config=S)",
+    add_pair_option(
+        chaos, "--arg", "application argument (repeatable; e.g. config=S)"
     )
     chaos.add_argument(
         "--nodes", type=int, default=8, help="node count (default 8)"
@@ -374,18 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="kill time as a fraction of the measured window "
         "(repeatable; default 0.25 0.5 0.75)",
     )
-    chaos.add_argument(
-        "--topology",
-        action="append",
-        metavar="KEY=VALUE",
-        help="topology field (repeatable; e.g. kind=fattree radix=4 levels=2)",
+    add_pair_option(
+        chaos, "--topology",
+        "topology field (repeatable; e.g. kind=fattree radix=4 levels=2)",
     )
-    chaos.add_argument(
-        "--fault",
-        action="append",
-        metavar="KEY=VALUE",
-        help="extra fault-plan knob for degraded runs "
-        "(repeatable; e.g. elan_rails=2)",
+    add_pair_option(
+        chaos, "--fault",
+        "extra fault-plan knob for degraded runs (repeatable; e.g. elan_rails=2)",
     )
     chaos.add_argument("--seed", type=int, default=0, help="RNG seed")
     chaos.add_argument(
@@ -425,25 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit the status as one JSON object (the same payload "
-        "repro-serve exposes at GET /v1/status)",
+        "repro serve exposes at GET /v1/status)",
     )
     status.set_defaults(func=cmd_status)
 
     clean = sub.add_parser("clean", help="delete cached results and journal")
     _add_root(clean)
     clean.set_defaults(func=cmd_clean)
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Console entry point."""
-    args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

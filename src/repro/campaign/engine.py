@@ -18,7 +18,7 @@ file.
 
 Execution itself lives in :class:`~.scheduler.JobScheduler`: the engine
 builds one per invocation, submits every spec, and waits.  The
-``repro-serve`` daemon drives a long-lived scheduler through the same
+``repro serve`` daemon drives a long-lived scheduler through the same
 interface, so batch campaigns and the query service share one
 cache/coalesce/retry/quarantine code path.
 
@@ -168,7 +168,7 @@ class CampaignEngine:
         """A :class:`~.scheduler.JobScheduler` with this engine's policy.
 
         One is built per :meth:`run_specs` invocation (in-memory job
-        store); the ``repro-serve`` daemon builds a long-lived durable
+        store); the ``repro serve`` daemon builds a long-lived durable
         one through the same constructor arguments, which is what keeps
         batch and service execution on one code path.
         """

@@ -1,6 +1,6 @@
 """Async job scheduling over the campaign result cache.
 
-This module is the enabling refactor behind ``repro-serve``: the
+This module is the enabling refactor behind ``repro serve``: the
 run-to-completion loop that used to live inside
 :class:`~.engine.CampaignEngine` is restated as an asynchronous
 :class:`JobScheduler` that both the batch CLI and the long-running
@@ -23,7 +23,7 @@ Every job transition is appended to a :class:`JobStore` — a JSONL log
 that doubles as the per-job progress event stream.  Given a durable
 store path, a restarted scheduler reloads terminal jobs for queries and
 re-dispatches the in-flight tail, which is what lets a killed
-``repro-serve`` daemon resume its backlog.  The simulator itself is
+``repro serve`` daemon resume its backlog.  The simulator itself is
 deterministic per seed, so records are bit-identical whether a job ran
 serially, on a pool worker, or in a previous daemon incarnation.
 """
@@ -210,7 +210,7 @@ def scheduler_status(root) -> Dict[str, Any]:
     Works without a live scheduler: replays the campaign root's
     ``jobs.jsonl`` transitions for per-state job counts and queue-delay
     / wall-time summaries, and the journal for the cache-hit ratio
-    (``reused`` lines over all lines).  ``repro-campaign status --json``
+    (``reused`` lines over all lines).  ``repro campaign status --json``
     and the serve daemon's ``/v1/status`` both embed this (the daemon's
     live metric histograms carry the same numbers for its own lifetime).
     """
@@ -584,7 +584,7 @@ class JobScheduler:
             if self._serial_thread is None:
                 self._serial_thread = threading.Thread(
                     target=self._serial_loop,
-                    name="repro-serve-serial",
+                    name="repro.serve.serial",
                     daemon=True,
                 )
                 self._serial_thread.start()

@@ -78,7 +78,7 @@ class RunSpec:
 
     Field values must be plain data — no lambdas, closures or live
     objects — so the spec pickles for parallel workers and hashes into
-    a stable cache key (``repro-lint`` rule RPR006 enforces this at
+    a stable cache key (``repro lint`` rule RPR006 enforces this at
     construction sites).
     """
 

@@ -4,7 +4,7 @@ Each anchor compares a simulated quantity against the paper's reported
 value or qualitative claim with an explicit tolerance.  ``check_all``
 regenerates every micro-benchmark anchor (application anchors live in the
 integration tests, which need longer sweeps) and returns structured
-results; ``repro-report`` prints them, and tests assert them.
+results; ``repro report`` prints them, and tests assert them.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 A reproduction's credibility rests on its parameters being inspectable.
 This module renders the complete parameter state of both network models,
 the node model and the cache/pollution models as tables — used by
-``repro-report`` and kept in sync with the dataclasses automatically
+``repro report`` and kept in sync with the dataclasses automatically
 (it reads the live objects, so a drifted doc is impossible).
 """
 

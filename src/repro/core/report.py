@@ -1,7 +1,6 @@
 """The full-paper report: regenerate every experiment and print it.
 
-``repro-report`` (installed console script) or ``python -m
-repro.core.report`` runs the complete reproduction.  ``--quick`` shrinks
+``repro report`` runs the complete reproduction.  ``--quick`` shrinks
 sweeps for a fast smoke pass; ``--only fig3,fig7`` selects experiments.
 """
 
@@ -103,13 +102,40 @@ def render_report(
     return "\n".join(lines)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Console entry point."""
-    parser = argparse.ArgumentParser(
-        prog="repro-report",
-        description="Regenerate every table and figure of the CLUSTER 2004 "
-        "InfiniBand vs Elan-4 comparison, in simulation.",
+def cmd_report(args: argparse.Namespace) -> int:
+    if args.parameters:
+        from .parameters import render_parameters
+
+        print(render_parameters())
+        print()
+    engine = None
+    if args.workers is not None or args.campaign_root:
+        from ..campaign import DEFAULT_ROOT, CampaignEngine
+
+        engine = CampaignEngine(
+            root=args.campaign_root or DEFAULT_ROOT,
+            workers=args.workers if args.workers is not None else 1,
+        )
+    ids = [s.strip() for s in args.only.split(",") if s.strip()] or None
+    figures = run_experiments(
+        ids=ids, quick=args.quick, seed=args.seed, echo=lambda m: print(m, file=sys.stderr),
+        engine=engine,
     )
+    print(
+        render_report(
+            figures,
+            with_anchors=not args.no_anchors,
+            seed=args.seed,
+            plots=args.plots,
+        )
+    )
+    if args.export_dir:
+        written = export_figures(figures, args.export_dir)
+        print(f"exported {len(written)} files to {args.export_dir}", file=sys.stderr)
+    return 0
+
+
+def configure(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--quick", action="store_true", help="smaller sweeps (smoke run)"
     )
@@ -146,40 +172,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--campaign-root",
         default="",
         help="cache study sweeps in this campaign directory "
-        "(see repro-campaign)",
+        "(see repro campaign)",
     )
-    args = parser.parse_args(argv)
-    if args.parameters:
-        from .parameters import render_parameters
-
-        print(render_parameters())
-        print()
-    engine = None
-    if args.workers is not None or args.campaign_root:
-        from ..campaign import DEFAULT_ROOT, CampaignEngine
-
-        engine = CampaignEngine(
-            root=args.campaign_root or DEFAULT_ROOT,
-            workers=args.workers if args.workers is not None else 1,
-        )
-    ids = [s.strip() for s in args.only.split(",") if s.strip()] or None
-    figures = run_experiments(
-        ids=ids, quick=args.quick, seed=args.seed, echo=lambda m: print(m, file=sys.stderr),
-        engine=engine,
-    )
-    print(
-        render_report(
-            figures,
-            with_anchors=not args.no_anchors,
-            seed=args.seed,
-            plots=args.plots,
-        )
-    )
-    if args.export_dir:
-        written = export_figures(figures, args.export_dir)
-        print(f"exported {len(written)} files to {args.export_dir}", file=sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    parser.set_defaults(func=cmd_report)

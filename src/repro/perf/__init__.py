@@ -15,7 +15,7 @@ calls unfalsifiable without it:
 * **How fast is the simulator, over time?**  :func:`run_ladder` runs a
   standard workload ladder (ping-pong, b_eff, sweep3d across crossbar,
   fat-tree, torus and a degraded fabric) and emits ``BENCH_perf.json``;
-  :func:`compare_results` / ``repro-perf diff`` gate events/sec
+  :func:`compare_results` / ``repro perf diff`` gate events/sec
   regressions against the committed baseline in CI.
 
 The disabled default follows the telemetry null-singleton discipline:

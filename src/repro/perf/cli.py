@@ -1,4 +1,4 @@
-"""The ``repro-perf`` console script: run / diff / list.
+"""``repro perf``: run / diff / list.
 
 ``run`` executes the standard workload ladder under the kernel
 profiler and writes ``BENCH_perf.json`` (plus the historical
@@ -8,9 +8,9 @@ an events/sec regression past the threshold — the CI perf gate.
 
 Examples::
 
-    repro-perf run --quick -o BENCH_perf.json
-    repro-perf run --case crossbar-64 --sample --flamegraph perf/
-    repro-perf diff BENCH_perf.json /tmp/BENCH_perf.json --threshold 0.25
+    repro perf run --quick -o BENCH_perf.json
+    repro perf run --case crossbar-64 --sample --flamegraph perf/
+    repro perf diff BENCH_perf.json /tmp/BENCH_perf.json --threshold 0.25
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
 
 from ..errors import ReproError
 from .diff import DEFAULT_THRESHOLD, compare_results, load_results, render_comparison
@@ -28,12 +27,11 @@ from .ladder import LADDER, ladder_cases, run_ladder, write_results
 
 def cmd_run(args: argparse.Namespace) -> int:
     out = Path(args.out)
+    names = args.case if args.case else None
     try:
-        names = args.case if args.case else None
         ladder_cases(names)  # validate before simulating anything
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+        raise ReproError(exc.args[0]) from None
     rows = run_ladder(
         names=names,
         quick=args.quick,
@@ -58,13 +56,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    try:
-        baseline = load_results(args.baseline)
-        current = load_results(args.current)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    comparison = compare_results(baseline, current, threshold=args.threshold)
+    comparison = compare_results(
+        load_results(args.baseline), load_results(args.current),
+        threshold=args.threshold,
+    )
     if args.json:
         print(json.dumps(comparison, sort_keys=True))
     else:
@@ -81,13 +76,8 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-perf",
-        description="Simulator self-profiling: run the perf ladder and "
-        "gate events/sec regressions.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def configure(parser: argparse.ArgumentParser) -> None:
+    sub = parser.add_subparsers(dest="action", required=True)
 
     run = sub.add_parser("run", help="run the workload ladder")
     run.add_argument(
@@ -105,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--case",
         action="append",
         metavar="NAME",
-        help="run only this ladder case (repeatable; see `repro-perf list`)",
+        help="run only this ladder case (repeatable; see `repro perf list`)",
     )
     run.add_argument(
         "--no-profile",
@@ -160,18 +150,3 @@ def build_parser() -> argparse.ArgumentParser:
 
     lst = sub.add_parser("list", help="list the ladder cases")
     lst.set_defaults(func=cmd_list)
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Console entry point."""
-    args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

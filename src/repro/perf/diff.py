@@ -1,6 +1,6 @@
 """The perf gate: compare two BENCH_perf.json documents case by case.
 
-``repro-perf diff BASELINE CURRENT`` joins rows on their ``case``
+``repro perf diff BASELINE CURRENT`` joins rows on their ``case``
 label, computes the events/sec ratio, and fails (exit 1) when any case
 regressed past the threshold.  The threshold is deliberately generous
 — CI runners are noisy; the gate exists to catch order-of-magnitude

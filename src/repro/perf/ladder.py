@@ -4,8 +4,8 @@ Each rung is one simulation the repo already cares about — the
 far-rank ping-pong on three fabrics, b_eff rings, a Sweep3D wavefront,
 and the degraded-fabric failover case — run under the
 :class:`~.profiler.KernelProfiler` and reduced to an events/sec row.
-``repro-perf run`` emits the rows as ``BENCH_perf.json`` (the
-trajectory file ``repro-perf diff`` gates against) and re-emits the
+``repro perf run`` emits the rows as ``BENCH_perf.json`` (the
+trajectory file ``repro perf diff`` gates against) and re-emits the
 historical ``BENCH_topology.json`` / ``BENCH_chaos.json`` files from
 the same runs, so the pre-ladder trend lines continue unbroken.
 

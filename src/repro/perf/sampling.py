@@ -83,7 +83,7 @@ class StackSampler:
         )
         self._stop.clear()
         self._thread = threading.Thread(
-            target=self._loop, args=(target,), name="repro-perf-sampler",
+            target=self._loop, args=(target,), name="repro.perf.sampler",
             daemon=True,
         )
         self._thread.start()

@@ -1,7 +1,7 @@
 """Terminal line charts for data series.
 
 The paper's figures are log-x line plots; this renders the same shape in
-a terminal so `repro-report --plots` and the examples can show curves,
+a terminal so `repro report --plots` and the examples can show curves,
 not just tables.  Pure string output, deterministic, no dependencies.
 """
 

@@ -1,14 +1,14 @@
-"""The ``repro-serve`` console entry point.
+"""``repro serve``: the campaign-as-a-service daemon.
 
-Start the campaign-as-a-service daemon over an existing (or fresh)
-campaign root::
+Start it over an existing (or fresh) campaign root::
 
-    repro-serve --root .repro-campaign --port 8642 --workers 4
+    repro serve --root .repro-campaign --port 8642 --workers 4
 
 The daemon resumes any jobs left pending in the root's durable job
 store, pre-warms its worker pool, and serves the ``/v1`` API until
-interrupted.  ``repro-serve --root ... --print-status`` answers the
+interrupted.  ``repro serve --root ... --print-status`` answers the
 same JSON as ``GET /v1/status`` without binding a socket.
+``python -m repro.serve.cli ...`` is the same as ``repro serve ...``.
 """
 
 from __future__ import annotations
@@ -16,19 +16,46 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
 
 from ..campaign.engine import DEFAULT_ROOT, resolve_workers
-from ..errors import ReproError
 from ..version import __version__
 from .server import ServeService
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-serve",
-        description="Serve campaign results and schedule new runs over HTTP/JSON.",
+def cmd_serve(args: argparse.Namespace) -> int:
+    echo = None if args.quiet else (lambda line: print(line, file=sys.stderr))
+    service = ServeService(
+        args.root,
+        host=args.host,
+        port=args.port,
+        workers=resolve_workers(args.workers),
+        use_cache=not args.no_cache,
+        timeout_s=args.timeout_s,
+        max_events=args.max_events,
+        max_retries=args.max_retries,
+        retry_backoff_s=args.retry_backoff_s,
+        lifecycle=args.lifecycle,
+        memory_cache=args.memory_cache,
+        profile=args.profile,
+        echo=echo,
     )
+    if args.print_status:
+        print(json.dumps(service.state.status(), indent=2, sort_keys=True))
+        service.close()
+        return 0
+    if echo is not None:
+        echo(f"repro serve {__version__} listening on {service.url} (root={args.root})")
+    try:
+        service.serve_forever()
+    except KeyboardInterrupt:
+        if echo is not None:
+            echo("repro serve: interrupted, shutting down")
+    finally:
+        service.close()
+    return 0
+
+
+def configure(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--root",
         default=DEFAULT_ROOT,
@@ -85,48 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the /v1/status JSON for --root and exit (no socket)",
     )
     parser.add_argument(
-        "--version", action="version", version=f"repro-serve {__version__}"
+        "--version", action="version", version=f"repro serve {__version__}"
     )
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    echo = None if args.quiet else (lambda line: print(line, file=sys.stderr))
-    try:
-        service = ServeService(
-            args.root,
-            host=args.host,
-            port=args.port,
-            workers=resolve_workers(args.workers),
-            use_cache=not args.no_cache,
-            timeout_s=args.timeout_s,
-            max_events=args.max_events,
-            max_retries=args.max_retries,
-            retry_backoff_s=args.retry_backoff_s,
-            lifecycle=args.lifecycle,
-            memory_cache=args.memory_cache,
-            profile=args.profile,
-            echo=echo,
-        )
-    except (ReproError, OSError) as exc:
-        print(f"repro-serve: {exc}", file=sys.stderr)
-        return 2
-    if args.print_status:
-        print(json.dumps(service.state.status(), indent=2, sort_keys=True))
-        service.close()
-        return 0
-    if echo is not None:
-        echo(f"repro-serve {__version__} listening on {service.url} (root={args.root})")
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:
-        if echo is not None:
-            echo("repro-serve: interrupted, shutting down")
-    finally:
-        service.close()
-    return 0
+    parser.set_defaults(func=cmd_serve)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from ..cli import main
+    sys.exit(main(["serve", *sys.argv[1:]]))

@@ -1,6 +1,6 @@
 """Blame reports straight from cached campaign records.
 
-``repro-explain run`` builds its report from a *live* machine; the serve
+``repro explain run`` builds its report from a *live* machine; the serve
 daemon has only the journal record a run left behind.  When that record
 was produced with lifecycle collection (``--blame`` on the batch CLI,
 ``"lifecycle": true`` on the serve API), it already carries the
@@ -24,7 +24,7 @@ def record_explainable(record: Dict[str, Any]) -> bool:
 
 
 def record_report(record: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    """A ``repro-explain``-shaped report dict for one cached record.
+    """A ``repro explain``-shaped report dict for one cached record.
 
     Returns ``None`` when the record has no blame block (it was executed
     without lifecycle collection): the caller should tell the client to

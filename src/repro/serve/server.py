@@ -1,4 +1,4 @@
-"""The ``repro-serve`` HTTP/JSON daemon: campaign-as-a-service.
+"""The ``repro serve`` HTTP/JSON daemon: campaign-as-a-service.
 
 Stdlib only: :mod:`http.server` (a :class:`ThreadingHTTPServer`, whose
 ``serve_forever`` loop polls the listening socket through
@@ -6,7 +6,7 @@ Stdlib only: :mod:`http.server` (a :class:`ThreadingHTTPServer`, whose
 :class:`~repro.campaign.scheduler.JobScheduler`.  Handlers never block
 on simulation work — they resolve against the result cache, coalesce
 onto in-flight jobs, or schedule onto the worker pool and answer with a
-job handle (``repro-lint`` rule RPR011 enforces this: no ``time.sleep``
+job handle (``repro lint`` rule RPR011 enforces this: no ``time.sleep``
 or direct engine/run calls inside handler code paths).
 
 API (all JSON unless noted)::
@@ -243,7 +243,7 @@ class ServeState:
                 "timing": self._job_timing(),
             },
             # Embeds the durable "scheduler" block (jobs.jsonl fold) —
-            # the same shape ``repro-campaign status --json`` reports.
+            # the same shape ``repro campaign status --json`` reports.
             "campaign_root": status_payload(self.root),
         }
 
@@ -297,7 +297,7 @@ class ServeHandler(BaseHTTPRequestHandler):
     """
 
     protocol_version = "HTTP/1.1"
-    server_version = f"repro-serve/{__version__}"
+    server_version = f"repro/{__version__}"
     #: Socket read timeout so an idle keep-alive client can't pin a
     #: handler thread forever.
     timeout = 60
@@ -614,7 +614,7 @@ class ServeService:
         self._thread = threading.Thread(
             target=self.server.serve_forever,
             kwargs={"poll_interval": 0.05},
-            name="repro-serve-http",
+            name="repro.serve.http",
             daemon=True,
         )
         self._thread.start()

@@ -28,9 +28,9 @@ this package makes those mechanisms *numbers*:
 * :func:`chrome_trace` / :func:`write_chrome_trace` — Chrome
   ``trace_event`` JSON timelines (load in ``chrome://tracing`` or
   Perfetto), with the metrics dict embedded under ``otherData``.
-* ``repro-trace`` (:mod:`repro.telemetry.cli`) — record / dump /
+* ``repro trace`` (:mod:`repro.telemetry.cli`) — record / dump /
   summarize / diff traces from the shell.
-* ``repro-explain`` (:mod:`repro.telemetry.explain`) — run a traced
+* ``repro explain`` (:mod:`repro.telemetry.explain`) — run a traced
   benchmark and render waterfall + blame analysis as JSON and HTML.
 
 Telemetry never touches simulation behaviour: no events are scheduled,

@@ -1,4 +1,4 @@
-"""``repro-trace`` console script: record / dump / summarize / diff.
+"""``repro trace``: record / dump / summarize / diff.
 
 ``record`` runs one declarative app (the campaign app registry) on a
 fresh telemetered machine and writes a Chrome ``trace_event`` JSON file;
@@ -9,58 +9,27 @@ when they differ, which makes it a regression gate in shell pipelines.
 
 Examples::
 
-    repro-trace record --app pingpong --network ib --nodes 2 \\
+    repro trace record --app pingpong --network ib --nodes 2 \\
         --arg size=4194304 -o ib-4mb.json
-    repro-trace summarize ib-4mb.json
-    repro-trace diff ib-4mb.json elan-4mb.json
+    repro trace summarize ib-4mb.json
+    repro trace diff ib-4mb.json elan-4mb.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
+from ..cli import add_run_spec_options, run_spec
 from ..errors import ReproError
-from .chrome import load_trace
-
-
-def _parse_arg(text: str) -> tuple:
-    """One ``--arg name=value`` pair, value coerced to int/float if possible."""
-    if "=" not in text:
-        raise argparse.ArgumentTypeError(f"expected name=value, got {text!r}")
-    name, raw = text.split("=", 1)
-    value: Any = raw
-    for cast in (int, float):
-        try:
-            value = cast(raw)
-            break
-        except ValueError:
-            continue
-    return name, value
+from .chrome import load_trace, write_chrome_trace
+from .collect import Telemetry
 
 
 def cmd_record(args: argparse.Namespace) -> int:
-    # Imported lazily: dump/summarize/diff work on bare trace files
-    # without dragging the whole simulator stack in.
-    from ..campaign.programs import build_program
-    from ..mpi import Machine
-    from .chrome import write_chrome_trace
-    from .collect import Telemetry
-
-    app_args = dict(args.arg or [])
-    machine = Machine(
-        args.network,
-        args.nodes,
-        ppn=args.ppn,
-        seed=args.seed,
-        telemetry=Telemetry(metrics=True, timeline=True, log=True),
-    )
-    result = machine.run(build_program(args.app, app_args))
-    label = args.label or (
-        f"{args.app} {args.network} {args.nodes}n x{args.ppn}ppn "
-        f"seed={args.seed}"
+    machine, result, label = run_spec(
+        args, Telemetry(metrics=True, timeline=True, log=True)
     )
     trace = write_chrome_trace(args.output, machine.sim, label=label)
     metrics = trace["otherData"]["metrics"]
@@ -198,28 +167,11 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return 1 if changed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-trace",
-        description="Record and inspect Chrome trace_event exports of "
-        "simulated runs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def configure(parser: argparse.ArgumentParser) -> None:
+    sub = parser.add_subparsers(dest="action", required=True)
 
     rec = sub.add_parser("record", help="run one app and export its trace")
-    rec.add_argument("--app", default="pingpong", help="campaign app id")
-    rec.add_argument("--network", default="ib", choices=("ib", "elan"))
-    rec.add_argument("--nodes", type=int, default=2)
-    rec.add_argument("--ppn", type=int, default=1)
-    rec.add_argument("--seed", type=int, default=0)
-    rec.add_argument(
-        "--arg",
-        action="append",
-        type=_parse_arg,
-        metavar="NAME=VALUE",
-        help="app argument (repeatable), e.g. --arg size=4194304",
-    )
-    rec.add_argument("--label", default="", help="trace label")
+    add_run_spec_options(rec)
     rec.add_argument("-o", "--output", default="trace.json")
     rec.set_defaults(func=cmd_record)
 
@@ -251,17 +203,3 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("a")
     diff.add_argument("b")
     diff.set_defaults(func=cmd_diff)
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ReproError, ValueError, OSError) as exc:
-        print(f"repro-trace: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -1,4 +1,4 @@
-"""``repro-explain``: where did the time go, and whose fault is it?
+"""``repro explain``: where did the time go, and whose fault is it?
 
 ``run`` executes one declarative app (the campaign registry) on a fresh
 machine with lifecycle spans and series sampling enabled, then folds the
@@ -13,16 +13,16 @@ and per-channel sparklines.
 ``diff`` compares the blame tables of two reports and exits non-zero
 when any component's share of the critical path drifted past a
 threshold — a shell-pipeline gate against "the optimization moved the
-bottleneck" regressions, same spirit as ``repro-trace diff`` but over
+bottleneck" regressions, same spirit as ``repro trace diff`` but over
 *attribution* rather than raw metrics.
 
 Examples::
 
-    repro-explain run --app pingpong --network ib --nodes 2 \\
+    repro explain run --app pingpong --network ib --nodes 2 \\
         --arg size=4194304 -o ib-4mb.json --html ib-4mb.html
-    repro-explain run --app pingpong --network elan --nodes 2 \\
+    repro explain run --app pingpong --network elan --nodes 2 \\
         --arg size=4194304 -o elan-4mb.json
-    repro-explain diff ib-4mb.json elan-4mb.json --threshold 0.05
+    repro explain diff ib-4mb.json elan-4mb.json --threshold 0.05
 """
 
 from __future__ import annotations
@@ -30,12 +30,13 @@ from __future__ import annotations
 import argparse
 import html as _html
 import json
-import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
+from ..cli import add_run_spec_options, run_spec
 from ..errors import ReproError
 from ..version import __version__
+from .collect import Telemetry
 from .critical_path import blame, critical_path
 from .lifecycle import matched_on_arrival_share
 
@@ -228,7 +229,7 @@ def build_html(report: Dict[str, Any]) -> str:
     share_text = f"{share:.3f}" if share is not None else "n/a"
     return f"""<!DOCTYPE html>
 <html><head><meta charset="utf-8">
-<title>repro-explain: {_esc(report['label'])}</title>
+<title>repro explain: {_esc(report['label'])}</title>
 <style>
 body {{ font: 14px/1.45 system-ui, sans-serif; margin: 2em auto;
        max-width: 960px; color: #222; }}
@@ -243,7 +244,7 @@ td.num {{ text-align: right; font-variant-numeric: tabular-nums; }}
 .meta {{ color: #666; }}
 svg.spark {{ display: block; }}
 </style></head><body>
-<h1>repro-explain &mdash; {_esc(report['label'])}</h1>
+<h1>repro explain &mdash; {_esc(report['label'])}</h1>
 <p class="meta">repro {_esc(report['version'])} &middot;
 network {_esc(report['network'])} &middot;
 {report['n_nodes']} nodes &times; {report['ppn']} ppn &middot;
@@ -268,38 +269,9 @@ over {report['critical_path_segments']} segments</p>
 # -- CLI ---------------------------------------------------------------------
 
 
-def _parse_arg(text: str) -> tuple:
-    if "=" not in text:
-        raise argparse.ArgumentTypeError(f"expected name=value, got {text!r}")
-    name, raw = text.split("=", 1)
-    value: Any = raw
-    for cast in (int, float):
-        try:
-            value = cast(raw)
-            break
-        except ValueError:
-            continue
-    return name, value
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    # Imported lazily so `diff` works on bare report files without
-    # dragging the whole simulator stack in.
-    from ..campaign.programs import build_program
-    from ..mpi import Machine
-    from .collect import Telemetry
-
-    machine = Machine(
-        args.network,
-        args.nodes,
-        ppn=args.ppn,
-        seed=args.seed,
-        telemetry=Telemetry(metrics=True, lifecycle=True, series=True),
-    )
-    result = machine.run(build_program(args.app, dict(args.arg or [])))
-    label = args.label or (
-        f"{args.app} {args.network} {args.nodes}n x{args.ppn}ppn "
-        f"seed={args.seed}"
+    machine, result, label = run_spec(
+        args, Telemetry(metrics=True, lifecycle=True, series=True)
     )
     report = build_report(machine, result, label=label)
     Path(args.output).write_text(json.dumps(report, sort_keys=True))
@@ -323,7 +295,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _report_of(path) -> Dict[str, Any]:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or "blame" not in data:
-        raise ReproError(f"{path} is not a repro-explain report")
+        raise ReproError(f"{path} is not a repro explain report")
     return data
 
 
@@ -362,30 +334,13 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-explain",
-        description="Run a traced app and explain its critical path, or "
-        "diff two explanations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def configure(parser: argparse.ArgumentParser) -> None:
+    sub = parser.add_subparsers(dest="action", required=True)
 
     run = sub.add_parser(
         "run", help="run one app with lifecycle tracing and write a report"
     )
-    run.add_argument("--app", default="pingpong", help="campaign app id")
-    run.add_argument("--network", default="ib", choices=("ib", "elan"))
-    run.add_argument("--nodes", type=int, default=2)
-    run.add_argument("--ppn", type=int, default=1)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--arg",
-        action="append",
-        type=_parse_arg,
-        metavar="NAME=VALUE",
-        help="app argument (repeatable), e.g. --arg size=4194304",
-    )
-    run.add_argument("--label", default="", help="report label")
+    add_run_spec_options(run)
     run.add_argument("-o", "--output", default="explain.json")
     run.add_argument("--html", default="", help="also write an HTML report")
     run.set_defaults(func=cmd_run)
@@ -402,17 +357,3 @@ def build_parser() -> argparse.ArgumentParser:
         help="max tolerated per-component share drift (default 0.05)",
     )
     diff.set_defaults(func=cmd_diff)
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ReproError, ValueError, OSError) as exc:
-        print(f"repro-explain: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -15,7 +15,7 @@ reproducible rather than averaged away.
 
 Stage naming: node links keep the historical ``up{i}`` / ``down{i}``
 names; inter-switch links are ``isl:`` stages on ``link.*`` resources,
-so repro-explain blames them as an ``isl`` component distinct from the
+so repro explain blames them as an ``isl`` component distinct from the
 node cables and the switch crossings, and fault plans can target one
 named ISL (``fault.link = "isl:l0>s1"``).
 

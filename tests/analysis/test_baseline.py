@@ -1,4 +1,4 @@
-"""Baseline add/expire semantics and the ``repro-lint`` CLI contract."""
+"""Baseline add/expire semantics and the ``repro lint`` CLI contract."""
 
 import json
 import shutil
@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.baseline import Baseline
-from repro.analysis.cli import main
+from repro.cli import main as repro_main
 from repro.analysis.linter import lint_source
 
 
@@ -17,6 +17,10 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 DIRTY = "import time\n\ndef f():\n    return time.time()\n"
 CLEAN = "def f(sim):\n    return sim.now\n"
+
+
+def main(argv):
+    return repro_main(["lint", *argv])
 
 
 def findings_of(source):
@@ -83,15 +87,15 @@ class TestCli:
         assert "RPR001" in out
         assert "bad.py:4" in out
 
-    def test_usage_error_exits_two(self, tmp_path):
+    def test_usage_error_exits_two(self, tmp_path, capsys):
+        assert main([]) == 2
+        assert "repro lint: no paths given" in capsys.readouterr().err
+        assert main([str(tmp_path / "nope")]) == 2
+        assert "no such path" in capsys.readouterr().err
+        assert main([str(tmp_path), "--update-baseline"]) == 2
+        assert "requires --baseline" in capsys.readouterr().err
         with pytest.raises(SystemExit) as exc:
-            main([])
-        assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            main([str(tmp_path / "nope")])
-        assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            main([str(tmp_path), "--update-baseline"])
+            main([str(tmp_path), "--format", "xml"])
         assert exc.value.code == 2
 
     def test_update_baseline_then_pass(self, tmp_path, capsys):
@@ -141,11 +145,15 @@ class TestCli:
         for rule in ("RPR001", "RPR008"):
             assert rule in out
 
-    def test_list_rules_positional_matches_flag(self, capsys):
-        assert main(["--list-rules"]) == 0
-        flag_out = capsys.readouterr().out
-        assert main(["list-rules"]) == 0
-        assert capsys.readouterr().out == flag_out
+    def test_list_rules_positional_is_a_path(self, tmp_path, capsys, monkeypatch):
+        """``list-rules`` without dashes is a path like any other."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["list-rules"]) == 2
+        assert "no such path: list-rules" in capsys.readouterr().err
+        (tmp_path / "list-rules").mkdir()
+        (tmp_path / "list-rules" / "bad.py").write_text(DIRTY)
+        assert main(["list-rules"]) == 1
+        assert "list-rules/bad.py:4" in capsys.readouterr().out
 
 
 class TestBaselineLineDrift:

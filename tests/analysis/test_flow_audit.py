@@ -1,21 +1,25 @@
-"""Seeded-bug probes and the CLI contract for ``repro-audit``.
+"""Seeded-bug probes for the whole-program passes of ``repro lint``.
 
 Each probe plants one specific cross-module hazard in a scratch tree
-shaped like the real one (``src/repro/...``) and asserts the matching
-pass reports it — rule id, file and semantics — while the surrounding
-clean code stays silent.  A final class pins the determinism contract:
-two audits of one tree are byte-identical.
+shaped like the real one (``src/repro/...``), runs the one analyzer
+over it, and asserts the matching pass reports it — rule id, file and
+semantics — while the surrounding clean code stays silent.  Further
+classes pin the determinism contract (two runs over one tree are
+byte-identical), the CLI over dataflow findings, and the merge itself:
+one suppression tag, one syntax-error finding.
 """
 
+import json
 import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.baseline import Baseline
-from repro.analysis.flow import audit_paths
-from repro.analysis.flow.cli import main
+from repro.analysis.linter import lint_paths
 from repro.analysis.reporters import render_json
+from repro.analysis.rules import RULES
+from repro.cli import main as repro_main
 
 
 pytestmark = pytest.mark.analysis
@@ -25,6 +29,10 @@ ROOT = "repro.pkg.kernel.Simulator.run"
 
 #: The real package sources, for probes that plant bugs in a copy.
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def main(argv):
+    return repro_main(["lint", *argv])
 
 
 def write_tree(tmp_path, files):
@@ -40,7 +48,7 @@ def write_tree(tmp_path, files):
 
 def audit(tmp_path, files, roots=(ROOT,)):
     root = write_tree(tmp_path, files)
-    return audit_paths([root], root=tmp_path, roots=roots)
+    return lint_paths([root], root=tmp_path, roots=roots)
 
 
 def rules_of(findings):
@@ -145,7 +153,7 @@ class TestUnitsPass:
         findings = audit(tmp_path, {
             "m.py": """
                 def total(latency_us, timeout_s):
-                    return latency_us + timeout_s  # repro-audit: disable=RPR020 -- probe
+                    return latency_us + timeout_s  # repro-lint: disable=RPR020 -- probe
             """,
         })
         assert findings == []
@@ -245,7 +253,7 @@ class TestAllocationPass:
             "kernel.py": """
                 class Simulator:
                     def run(self):
-                        self._heap.append((self._now, self._seq))  # repro-audit: disable=RPR022 -- heap entry
+                        self._heap.append((self._now, self._seq))  # repro-lint: disable=RPR022 -- heap entry
             """,
         })
         assert findings == []
@@ -269,9 +277,9 @@ class TestAllocationPass:
         (tmp_path / "src" / "repro" / "__init__.py").write_text("")
         (pkg / "__init__.py").write_text("")
         (pkg / "stream.py").write_text(clean)
-        assert audit_paths([tmp_path / "src"], root=tmp_path) == []
+        assert lint_paths([tmp_path / "src"], root=tmp_path) == []
         (pkg / "stream.py").write_text(planted)
-        findings = audit_paths([tmp_path / "src"], root=tmp_path)
+        findings = lint_paths([tmp_path / "src"], root=tmp_path)
         assert rules_of(findings) == ["RPR022"]
         assert "tuple display" in findings[0].message
         assert findings[0].path.endswith("telemetry/stream.py")
@@ -296,8 +304,10 @@ class TestProvenancePass:
                     return _middle() * 2.0
             """,
         })
-        assert rules_of(findings) == ["RPR023"]
-        assert "ambient module random" in findings[0].message
+        # The per-file rule sees the ambient call in its own module too.
+        assert rules_of(findings) == ["RPR001", "RPR023"]
+        (draw,) = [f for f in findings if f.rule == "RPR023"]
+        assert "ambient module random" in draw.message
 
     def test_named_stream_draw_is_clean(self, tmp_path):
         findings = audit(tmp_path, {
@@ -353,8 +363,10 @@ class TestProvenancePass:
                     return rng.integers(0, 10)
             """,
         })
-        assert rules_of(findings) == ["RPR023"]
-        assert "default_rng()" in findings[0].message
+        # The per-file rule sees the unseeded mint in its own module too.
+        assert rules_of(findings) == ["RPR001", "RPR023"]
+        (draw,) = [f for f in findings if f.rule == "RPR023"]
+        assert "default_rng()" in draw.message
 
     def test_unknown_provenance_never_flags(self, tmp_path):
         findings = audit(tmp_path, {
@@ -384,15 +396,15 @@ class TestDeterminism:
 
     def test_two_audits_are_byte_identical(self, tmp_path):
         root = write_tree(tmp_path, self.DIRTY)
-        first = audit_paths([root], root=tmp_path, roots=(ROOT,))
-        second = audit_paths([root], root=tmp_path, roots=(ROOT,))
+        first = lint_paths([root], root=tmp_path, roots=(ROOT,))
+        second = lint_paths([root], root=tmp_path, roots=(ROOT,))
         as_json = lambda fs: render_json(Baseline().split(fs))  # noqa: E731
         assert as_json(first) == as_json(second)
         assert first  # the probes did fire
 
     def test_findings_sorted_by_location(self, tmp_path):
         root = write_tree(tmp_path, self.DIRTY)
-        findings = audit_paths([root], root=tmp_path, roots=(ROOT,))
+        findings = lint_paths([root], root=tmp_path, roots=(ROOT,))
         keys = [(f.path, f.line, f.col, f.rule) for f in findings]
         assert keys == sorted(keys)
 
@@ -414,14 +426,13 @@ class TestAuditCli:
         assert main([str(root)]) == 1
         assert "RPR020" in capsys.readouterr().out
 
-    def test_list_rules_flag_and_positional(self, tmp_path, capsys):
+    def test_list_rules_flag_lists_every_rule(self, capsys):
         assert main(["--list-rules"]) == 0
-        flag_out = capsys.readouterr().out
-        assert main(["list-rules"]) == 0
-        positional_out = capsys.readouterr().out
-        assert flag_out == positional_out
-        for rule in ("RPR020", "RPR021", "RPR022", "RPR023"):
-            assert rule in flag_out
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed == sorted(RULES)
+        assert len(listed) == 16
+        for rule in ("RPR001", "RPR012", "RPR020", "RPR021", "RPR022", "RPR023"):
+            assert rule in listed
 
     def test_update_baseline_then_clean(self, tmp_path):
         root = write_tree(tmp_path, self.DIRTY)
@@ -462,5 +473,68 @@ class TestAuditCli:
     def test_real_tree_is_clean(self):
         repo_root = Path(__file__).resolve().parents[2]
         src = repo_root / "src"
-        baseline = repo_root / ".repro-audit-baseline.json"
+        baseline = repo_root / ".repro-lint-baseline.json"
         assert main([str(src), "--baseline", str(baseline)]) == 0
+        assert main(
+            [str(src), str(repo_root / "benchmarks"), "--baseline", str(baseline)]
+        ) == 0
+
+
+class TestMergedAnalyzer:
+    """One parse, one tag, one report across per-file and dataflow rules."""
+
+    DIRTY = {
+        "kernel.py": """
+            class Simulator:
+                def run(self):
+                    return {"n": self._count}  # repro-lint: disable=all
+        """,
+        "m.py": """
+            import random
+
+
+            def jitter(latency_us, timeout_s):
+                total = latency_us + timeout_s  # repro-lint: disable=all
+                return total + random.random()  # repro-lint: disable=all
+
+
+            def wait(delay_us):
+                return delay_us
+
+
+            def go(timeout_s):
+                return wait(timeout_s)  # repro-lint: disable=all
+        """,
+    }
+
+    def test_disable_all_silences_dataflow_rules(self, tmp_path):
+        unsuppressed = {
+            name: source.replace("  # repro-lint: disable=all", "")
+            for name, source in self.DIRTY.items()
+        }
+        fired = audit(tmp_path / "bare", unsuppressed)
+        assert set(rules_of(fired)) == {
+            "RPR001", "RPR020", "RPR021", "RPR022", "RPR023",
+        }
+        assert audit(tmp_path / "tagged", self.DIRTY) == []
+
+    def test_syntax_error_yields_exactly_one_rpr000(self, tmp_path):
+        findings = audit(tmp_path, {
+            "broken.py": "def broken(:\n    pass\n",
+            "m.py": "def total(latency_us, timeout_s):\n"
+                    "    return latency_us + timeout_s\n",
+        })
+        assert rules_of(findings) == ["RPR000", "RPR020"]
+        (syntax,) = [f for f in findings if f.rule == "RPR000"]
+        assert syntax.path.endswith("pkg/broken.py")
+        assert syntax.line == 1
+
+    def test_per_file_and_dataflow_findings_share_one_report(self, tmp_path, capsys):
+        root = write_tree(tmp_path, {
+            "m.py": "import time\n\n"
+                    "def f(latency_us, timeout_s):\n"
+                    "    return time.time() + latency_us + timeout_s\n",
+        })
+        assert main([str(root), "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert sorted(f["rule"] for f in payload["new"]) == ["RPR001", "RPR020"]

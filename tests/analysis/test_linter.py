@@ -4,10 +4,10 @@ import textwrap
 
 import pytest
 
+from repro.analysis.flow.symbols import iter_python_files
 from repro.analysis.linter import (
     Finding,
-    iter_python_files,
-    lint_files,
+    lint_paths,
     lint_source,
     parse_suppressions,
 )
@@ -67,26 +67,22 @@ class TestParseSuppressions:
         assert sup == {1: {"RPR003"}}
 
     def test_audit_tag_ignored_by_lint_parse(self):
+        """The retired ``repro-audit:`` tag no longer suppresses anything."""
         sup = parse_suppressions(
             "x = 1  # repro-audit: disable=RPR022\n"
         )
         assert sup == {}
 
-    def test_lint_tag_ignored_by_audit_parse(self):
+    def test_lint_tag_covers_dataflow_rules(self):
         sup = parse_suppressions(
-            "x = 1  # repro-lint: disable=RPR001\n",
-            tool="audit",
-            all_rules={"RPR022": "alloc"},
+            "x = 1  # repro-lint: disable=RPR001, RPR022\n"
         )
-        assert sup == {}
+        assert sup == {1: {"RPR001", "RPR022"}}
 
     def test_audit_all_expands_against_audit_universe(self):
-        sup = parse_suppressions(
-            "x = 1  # repro-audit: disable=all\n",
-            tool="audit",
-            all_rules={"RPR022": "alloc", "RPR023": "rng"},
-        )
-        assert sup == {1: {"RPR022", "RPR023"}}
+        """``all`` now spans the dataflow rules of the one table too."""
+        sup = parse_suppressions("x = 1  # repro-lint: disable=all\n")
+        assert {"RPR020", "RPR021", "RPR022", "RPR023"} <= sup[1]
 
 
 class TestFingerprints:
@@ -153,7 +149,7 @@ class TestFileWalking:
         mod.write_text(
             "import time\n\ndef f():\n    return time.time()\n"
         )
-        (finding,) = lint_files([mod], root=tmp_path)
+        (finding,) = lint_paths([mod], root=tmp_path)
         assert finding.path == "pkg/mod.py"
 
     def test_directories_walked_and_caches_skipped(self, tmp_path):
@@ -176,7 +172,7 @@ class TestFileWalking:
         src = "import time\n\ndef f():\n    return time.time()\n"
         (tmp_path / "b.py").write_text(src)
         (tmp_path / "a.py").write_text(src)
-        findings = lint_files(
+        findings = lint_paths(
             [tmp_path / "b.py", tmp_path / "a.py"], root=tmp_path
         )
         assert [f.path for f in findings] == ["a.py", "b.py"]

@@ -1,10 +1,10 @@
-"""Tests for the repro-campaign console script (run/status/clean)."""
+"""Tests for ``repro campaign`` (run/status/clean)."""
 
 import json
 
 import pytest
 
-from repro.campaign.cli import main
+from repro.cli import main
 
 SPEC = {
     "name": "cli-test",
@@ -23,7 +23,7 @@ def spec_file(tmp_path):
 
 
 def run_cli(*argv):
-    return main([str(a) for a in argv])
+    return main(["campaign", *(str(a) for a in argv)])
 
 
 def test_run_then_rerun_hits_cache(spec_file, tmp_path, capsys):
@@ -79,7 +79,18 @@ def test_bad_spec_file_exits_nonzero(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("run", bad, "--root", tmp_path / "r") == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("repro campaign: bad campaign file")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_missing_spec_file_exits_two(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.json"
+    assert run_cli("run", missing, "--root", tmp_path / "r") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro campaign: ")
+    assert "No such file or directory" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_module_entry_point():
@@ -87,7 +98,7 @@ def test_module_entry_point():
     import sys
 
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.campaign.cli", "--help"],
+        [sys.executable, "-m", "repro", "campaign", "--help"],
         capture_output=True,
         text=True,
     )

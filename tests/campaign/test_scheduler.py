@@ -1,7 +1,7 @@
 """JobScheduler tests: coalescing, durability, quarantine, determinism.
 
-The scheduler is the shared substrate under ``repro-campaign run`` and
-the ``repro-serve`` daemon, so its contracts are tested directly here:
+The scheduler is the shared substrate under ``repro campaign run`` and
+the ``repro serve`` daemon, so its contracts are tested directly here:
 identical in-flight specs coalesce onto one job, the JSONL job store
 survives a simulated daemon restart, quarantine reaches the job state,
 and pooled execution stays bit-identical to serial.

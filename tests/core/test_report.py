@@ -1,8 +1,13 @@
-"""Tests for the repro-report CLI driver."""
+"""Tests for the ``repro report`` CLI driver."""
 
 import pytest
 
-from repro.core.report import main, render_report, run_experiments
+from repro.cli import main as repro_main
+from repro.core.report import render_report, run_experiments
+
+
+def main(argv):
+    return repro_main(["report", *argv])
 
 
 def test_cli_only_selection(capsys):

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.campaign import CampaignEngine, CampaignSpec, Journal, execute_run
-from repro.campaign.cli import main as cli_main
+from repro.cli import main
 from repro.campaign.spec import RunSpec
 from repro.errors import ConfigurationError
 
@@ -109,14 +109,15 @@ def test_cli_timeout_retries_and_quarantine_status(tmp_path, capsys):
         "points": [GOOD, CRASHING],
     }))
     root = tmp_path / "root"
-    code = cli_main([
+    code = main([
+        "campaign",
         "run", str(spec_path), "--root", str(root), "--quiet",
         "--timeout", "300", "--max-retries", "1",
     ])
     assert code == 1  # campaign completed, but with a quarantined failure
     out = capsys.readouterr().out
     assert "1 errors" in out and "quarantined" in out
-    assert cli_main(["status", "--root", str(root)]) == 0
+    assert main(["campaign", "status", "--root", str(root)]) == 0
     status = capsys.readouterr().out
     assert "quarantine: 1 specs failed all retries" in status
     assert "[quarantined]" in status

@@ -15,7 +15,7 @@ import pytest
 
 from repro import FaultPlan, Machine, root_fault
 from repro.campaign import CampaignEngine, ChaosStudy, default_kill_link
-from repro.campaign.cli import main as cli_main
+from repro.cli import main
 from repro.errors import LinkDeadError, SimulationError
 from repro.telemetry import Telemetry
 from repro.topology import TopologySpec
@@ -99,8 +99,9 @@ def test_chaos_parallel_equals_serial(tmp_path):
 
 
 def chaos_cli(tmp_path, *extra):
-    return cli_main(
+    return main(
         [
+            "campaign",
             "chaos",
             "--root", str(tmp_path),
             "--nodes", "8",
@@ -128,7 +129,7 @@ def test_chaos_cli_exits_zero_on_expected_outcomes(tmp_path, capsys):
 def test_status_prints_quarantine_reasons(tmp_path, capsys):
     chaos_cli(tmp_path)
     capsys.readouterr()
-    assert cli_main(["status", "--root", str(tmp_path)]) == 0
+    assert main(["campaign", "status", "--root", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     # Not just a count: the quarantined spec's error and its root cause.
     assert "error:" in out

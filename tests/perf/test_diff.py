@@ -1,13 +1,17 @@
-"""The perf gate: compare_results semantics and repro-perf CLI codes."""
+"""The perf gate: compare_results semantics and ``repro perf`` exit codes."""
 
 import json
 
 import pytest
 
+from repro.cli import main as repro_main
 from repro.perf import compare_results, load_results, render_comparison
-from repro.perf.cli import main
 
 pytestmark = pytest.mark.perf
+
+
+def main(argv):
+    return repro_main(["perf", *argv])
 
 
 def _doc(cases):

@@ -2,7 +2,7 @@
 
 End-to-end: a profiled serve daemon executes a cold run, the scheduler
 feeds the queue-delay / wall-time histograms, and ``/v1/perf`` reports
-the job's kernel-profile summary.  The durable half — ``repro-campaign
+the job's kernel-profile summary.  The durable half — ``repro campaign
 status --json``'s ``scheduler`` block — is folded from ``jobs.jsonl``
 with no live scheduler at all.
 """

@@ -1,4 +1,4 @@
-"""Tests for record->blame-report adaptation and the repro-serve CLI."""
+"""Tests for record->blame-report adaptation and the ``repro serve`` CLI."""
 
 import json
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.campaign import RunSpec, execute_run
 from repro.serve import record_explainable, record_html, record_report
-from repro.serve.cli import main
+from repro.cli import main
 
 pytestmark = pytest.mark.serve
 
@@ -52,7 +52,7 @@ def test_lifecycle_record_renders_html():
 
 
 def test_cli_print_status(tmp_path, capsys):
-    code = main(["--root", str(tmp_path / "root"), "--print-status",
+    code = main(["serve", "--root", str(tmp_path / "root"), "--print-status",
                  "--quiet", "--workers", "1"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)

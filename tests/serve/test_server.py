@@ -1,9 +1,9 @@
-"""End-to-end tests for the ``repro-serve`` HTTP/JSON daemon.
+"""End-to-end tests for the ``repro serve`` HTTP/JSON daemon.
 
 Each module-scoped service binds port 0 on localhost and is exercised
 through :mod:`urllib` — the same client path the CI smoke uses.  The
 acceptance contract: cached queries answer instantly with records
-bit-identical to ``repro-campaign run``, cold queries come back as job
+bit-identical to ``repro campaign run``, cold queries come back as job
 handles that complete through the shared JobScheduler.
 """
 
@@ -77,7 +77,7 @@ def test_cached_query_matches_batch_record(service, warm_root):
     status, body = http("POST", service.url + "/v1/runs", SPEC)
     assert status == 200
     assert body["source"] == "cache"
-    # Bit-identical to what repro-campaign run produced.
+    # Bit-identical to what repro campaign run produced.
     assert json.dumps(body["record"], sort_keys=True) == json.dumps(
         batch_record, sort_keys=True
     )
@@ -222,7 +222,7 @@ def test_status_embeds_campaign_status_payload(service, warm_root):
     assert status == 200
     assert body["service"]["workers"] == 1
     assert body["scheduler"]["stats"]["submitted"] >= 1
-    # GET /v1/status reuses the repro-campaign status --json payload.
+    # GET /v1/status reuses the repro campaign status --json payload.
     expected = status_payload(root)
     assert body["campaign_root"]["journal"] == expected["journal"]
     assert body["campaign_root"]["cache"] == expected["cache"]

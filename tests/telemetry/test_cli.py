@@ -1,16 +1,16 @@
-"""Tests for the repro-trace console script (record/dump/summarize/diff)."""
+"""Tests for ``repro trace`` (record/dump/summarize/diff)."""
 
 import json
 
 import pytest
 
-from repro.telemetry.cli import main
+from repro.cli import main
 
 pytestmark = pytest.mark.telemetry
 
 
 def run_cli(*argv):
-    return main([str(a) for a in argv])
+    return main(["trace", *(str(a) for a in argv)])
 
 
 @pytest.fixture(scope="module")
@@ -99,4 +99,4 @@ def test_diff_accepts_bare_metrics_dicts(tmp_path, capsys):
 
 def test_missing_file_is_graceful(tmp_path, capsys):
     assert run_cli("summarize", tmp_path / "nope.json") == 2
-    assert "repro-trace:" in capsys.readouterr().err
+    assert "repro trace:" in capsys.readouterr().err

@@ -1,16 +1,16 @@
-"""``repro-explain``: reports, the diff gate, and blame regressions."""
+"""``repro explain``: reports, the diff gate, and blame regressions."""
 
 import json
 
 import pytest
 
 from repro.campaign import CampaignEngine, CampaignSpec
+from repro.cli import main as repro_main
 from repro.microbench.pingpong import pingpong_program
 from repro.mpi import Machine
 from repro.telemetry import Telemetry
 from repro.telemetry.chrome import write_chrome_trace
-from repro.telemetry.cli import main as trace_main
-from repro.telemetry.explain import build_html, build_report, main, waterfall
+from repro.telemetry.explain import build_html, build_report, waterfall
 from repro.telemetry.lifecycle import MessageSpan
 
 pytestmark = [pytest.mark.telemetry, pytest.mark.lifecycle]
@@ -104,6 +104,14 @@ def test_build_report_and_html_are_self_contained():
 # -- the CLI -----------------------------------------------------------------
 
 
+def main(argv):
+    return repro_main(["explain", *argv])
+
+
+def trace_main(argv):
+    return repro_main(["trace", *argv])
+
+
 def _cli_run(tmp_path, name, network, size=256, seed=0, html=False):
     out = tmp_path / f"{name}.json"
     argv = [
@@ -130,7 +138,7 @@ def test_cli_run_writes_report_and_html(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["network"] == "ib" and report["spans"] > 0
     page = (tmp_path / "ib.html").read_text()
-    assert "repro-explain" in page
+    assert "repro explain" in page
     assert "blame:" in capsys.readouterr().out
 
 
