@@ -14,6 +14,9 @@ This pass walks the call graph from the kernel's **hot roots**:
   ``Event.succeed``;
 * the grant paths — ``FifoResource.request/_grant/release/_occ_update``
   and ``Store.put/get/_stamp/try_get``;
+* the pipelined-transfer state machine — every ``_Transfer`` callback
+  (``_open/_granted/_hold/_finish/_delivered``), run once or twice per
+  stage of every message;
 * every method of the disabled-telemetry null singletons
   (``_Null*``/``Null*`` classes in :mod:`repro.telemetry`) — the
   "allocation-free when disabled" contract made mechanical.
@@ -25,8 +28,9 @@ expression: dict/list/set/tuple displays, comprehensions, f-strings,
 ``list()`` / ``set()`` builtin calls.
 
 The kernel keeps a handful of *sanctioned* allocations — the heap-entry
-tuple, the waiter pair, the sanitizer key stamp — each carrying an
-inline ``# repro-lint: disable=RPR022`` with its justification; those
+tuple, the waiter pair, the sanitizer key stamp, a transfer stage's
+``(key, stage)`` grant key — each carrying an inline
+``# repro-lint: disable=RPR022`` with its justification; those
 are the allocations the profiler already accounts for, and the point of
 the gate is that adding an *unsanctioned* one fails CI.
 """
@@ -56,6 +60,11 @@ DEFAULT_HOT_ROOTS: Tuple[str, ...] = (
     "repro.sim.resources.Store.get",
     "repro.sim.resources.Store._stamp",
     "repro.sim.resources.Store.try_get",
+    "repro.sim.pipelines._Transfer._open",
+    "repro.sim.pipelines._Transfer._granted",
+    "repro.sim.pipelines._Transfer._hold",
+    "repro.sim.pipelines._Transfer._finish",
+    "repro.sim.pipelines._Transfer._delivered",
 )
 
 #: Telemetry/perf disabled-path singletons: any method of a class whose

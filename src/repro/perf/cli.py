@@ -4,7 +4,8 @@
 profiler and writes ``BENCH_perf.json`` (plus the historical
 ``BENCH_topology.json`` / ``BENCH_chaos.json`` next to it, from the
 same runs).  ``diff`` compares two results files and exits nonzero on
-an events/sec regression past the threshold — the CI perf gate.
+an events/sec regression past the threshold or on any change in a
+case's seed-determined event count — the CI perf gate.
 
 Examples::
 
@@ -132,7 +133,8 @@ def configure(parser: argparse.ArgumentParser) -> None:
 
     diff = sub.add_parser(
         "diff",
-        help="compare two results files; exit 1 on events/sec regression",
+        help="compare two results files; exit 1 on an events/sec "
+        "regression or a changed event count",
     )
     diff.add_argument("baseline", help="baseline BENCH_perf.json")
     diff.add_argument("current", help="current BENCH_perf.json")

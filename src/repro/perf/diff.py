@@ -4,7 +4,11 @@
 label, computes the events/sec ratio, and fails (exit 1) when any case
 regressed past the threshold.  The threshold is deliberately generous
 — CI runners are noisy; the gate exists to catch order-of-magnitude
-kernel regressions, not 5% wobble.  Cases present on only one side are
+kernel regressions, not 5% wobble.  It also fails when a case's
+``events`` count differs from the baseline: the count depends only on
+the seed, so that check is exact and machine-independent, and a change
+to it (a kernel that does more or less work per message) must come with
+a regenerated baseline.  Cases present on only one side are
 reported but never fail the gate (the ladder grows over time, and a
 baseline regenerated on a new rung shouldn't brick older branches).
 """
@@ -41,8 +45,10 @@ def compare_results(
     Accepts loaded documents (dict or list) on both sides.  Returns a
     JSON-ready comparison: one entry per case with baseline/current
     events/sec, the ratio, and a status among ``ok`` / ``regressed`` /
-    ``improved`` / ``baseline-only`` / ``current-only``.  ``passed`` is
-    False iff any case regressed.
+    ``improved`` / ``events-changed`` / ``baseline-only`` /
+    ``current-only``.  ``events-changed`` means both rows carry an
+    ``events`` count and the counts differ.  ``passed`` is False iff any
+    case regressed or changed its event count.
     """
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must be in [0, 1): {threshold}")
@@ -50,6 +56,7 @@ def compare_results(
     cur = {r["case"]: r for r in _rows(current)}
     cases: List[Dict[str, Any]] = []
     regressed: List[str] = []
+    changed: List[str] = []
     for name in sorted(set(base) | set(cur)):
         if name not in cur:
             cases.append({"case": name, "status": "baseline-only"})
@@ -66,26 +73,36 @@ def compare_results(
         b = float(base[name]["events_per_sec"])
         c = float(cur[name]["events_per_sec"])
         ratio = c / b if b > 0 else 0.0
+        b_events = base[name].get("events")
+        c_events = cur[name].get("events")
+        counted = b_events is not None and c_events is not None
+        if counted and b_events != c_events:
+            changed.append(name)
         if b > 0 and ratio < 1.0 - threshold:
             status = "regressed"
             regressed.append(name)
+        elif name in changed:
+            status = "events-changed"
         elif ratio > 1.0 + threshold:
             status = "improved"
         else:
             status = "ok"
-        cases.append(
-            {
-                "case": name,
-                "status": status,
-                "baseline_events_per_sec": b,
-                "current_events_per_sec": c,
-                "ratio": round(ratio, 4),
-            }
-        )
+        entry = {
+            "case": name,
+            "status": status,
+            "baseline_events_per_sec": b,
+            "current_events_per_sec": c,
+            "ratio": round(ratio, 4),
+        }
+        if counted:
+            entry["baseline_events"] = b_events
+            entry["current_events"] = c_events
+        cases.append(entry)
     return {
         "threshold": threshold,
-        "passed": not regressed,
+        "passed": not regressed and not changed,
         "regressed": regressed,
+        "events_changed": changed,
         "cases": cases,
     }
 
@@ -109,8 +126,18 @@ def render_comparison(comparison: Dict[str, Any]) -> str:
         )
     pct = comparison["threshold"] * 100
     if comparison["passed"]:
-        lines.append(f"PASS: no case regressed more than {pct:.0f}%")
-    else:
+        lines.append(
+            f"PASS: no case regressed more than {pct:.0f}% "
+            "or changed its event count"
+        )
+    if comparison["regressed"]:
         names = ", ".join(comparison["regressed"])
         lines.append(f"FAIL: regressed past {pct:.0f}%: {names}")
+    for entry in comparison["cases"]:
+        if entry["case"] in comparison["events_changed"]:
+            lines.append(
+                f"FAIL: {entry['case']} fired {entry['current_events']} events, "
+                f"baseline {entry['baseline_events']} (regenerate the baseline "
+                "if the change is intended)"
+            )
     return "\n".join(lines)

@@ -17,10 +17,12 @@ Attribution axes:
   subclass fired (``Timeout``, ``Process``, resource grants, store
   deliveries...): count, wall seconds, net allocated blocks;
 * **process class** — the name of each generator resumed by the event,
-  with trailing digits stripped, so 256 ``rank<N>`` processes fold into
-  one ``rank`` row: count, wall seconds (an event resuming two
-  processes credits its whole duration to both — blame, not a
-  partition);
+  with every digit run stripped, so 256 ``rank<N>`` processes fold into
+  one ``rank`` row and every ``elan.tx<src>-><dst>`` into ``elan.tx->``:
+  count, wall seconds (an event resuming two processes credits its
+  whole duration to both — blame, not a partition).  Callbacks of a
+  pipelined transfer's state machine are credited to the class
+  ``transfer``, so pipeline cost stays visible without processes;
 * **kernel mechanics** — heap pushes/pops, callbacks dispatched,
   generator resumptions: the raw-operation denominators the speed
   overhaul needs.
@@ -32,9 +34,12 @@ lint rule RPR012 keeps ``time.perf_counter``/``time.monotonic`` out of
 
 from __future__ import annotations
 
+import re
 import sys
 import time
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
+
+from ..sim.pipelines import _Transfer
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim import Simulator
@@ -49,13 +54,16 @@ _clock = time.perf_counter
 _allocated = sys.getallocatedblocks
 
 
-def _class_of(name: str) -> str:
-    """A process name folded to its class: trailing digits stripped.
+_DIGITS = re.compile(r"[0-9]+")
 
-    ``rank17`` -> ``rank``, ``progress0`` -> ``progress``; a fully
+
+def _class_of(name: str) -> str:
+    """A process name folded to its class: every digit run stripped.
+
+    ``rank17`` -> ``rank``, ``elan.tx0->15`` -> ``elan.tx->``; a fully
     numeric or empty name stays as-is so nothing folds to ``""``.
     """
-    stripped = name.rstrip("0123456789")
+    stripped = _DIGITS.sub("", name)
     return stripped if stripped else (name or "anonymous")
 
 
@@ -150,7 +158,9 @@ class KernelProfiler:
         Callback inspection happens here because ``_fire()`` consumes
         the callback list: any callback bound to a generator-carrying
         waiter (a :class:`~repro.sim.process.Process`) is a resumption,
-        credited to that process's class in :meth:`end`.
+        credited to that process's class in :meth:`end`; one bound to a
+        pipelined transfer is credited to the class ``transfer`` but is
+        not a generator resumption.
         """
         self.heap_pops += 1
         self.events += 1
@@ -161,8 +171,13 @@ class KernelProfiler:
             self.callbacks_dispatched += len(callbacks)
             for cb in callbacks:
                 owner = getattr(cb, "__self__", None)
-                if owner is not None and hasattr(owner, "generator"):
+                if owner is None:
+                    continue
+                if hasattr(owner, "generator"):
+                    self.resumptions += 1
                     pending.append(_class_of(owner.name))
+                elif type(owner) is _Transfer:
+                    pending.append("transfer")
         if self.allocations:
             self._pending_alloc0 = _allocated()
         return _clock()
@@ -181,7 +196,6 @@ class KernelProfiler:
         stats.wall_s += dt
         stats.allocs += allocs
         for cls in self._pending_classes:
-            self.resumptions += 1
             pstats = self.by_process_class.get(cls)
             if pstats is None:
                 pstats = self.by_process_class[cls] = _TypeStats()

@@ -145,14 +145,10 @@ class Event:
         if self.callbacks is None:
             # Already processed: schedule a fresh micro-event so ordering
             # stays deterministic rather than invoking synchronously.
+            # The callback gets this event, so the micro-event stays bare.
             ev = Event(self.sim)
             ev.callbacks.append(lambda _e: cb(self))
-            if self._exception is not None:
-                # Deliver the failure to the late waiter as well.
-                ev._exception = self._exception
-                ev._schedule()
-            else:
-                ev.succeed(self._value)
+            ev._schedule()
         else:
             self.callbacks.append(cb)
 

@@ -7,16 +7,20 @@ Modelling this at chunk granularity would cost O(chunks) events per message
 (a 4 MB transfer in 2 KB MTUs is 2048 chunks); instead each stage is a
 single acquire/hold/release with analytically-computed start and finish
 times.  Contention remains exact — a stage's resource is occupied for the
-true duration — while intra-message pipelining costs O(stages) events.
+true duration — while intra-message pipelining costs O(stages) events
+and no processes (see :class:`_Transfer`).
 
 Timing rules for stage *i* acquiring its resource at time ``a_i``:
 
 * serialization time ``T_i = overhead_i + size / bandwidth_i``;
-* finish ``f_i = max(a_i + T_i, f_{i-1} + latency_{i-1} + tail_i)`` where
-  ``tail_i = min(size, chunk) / bandwidth_i`` — a fast stage cannot finish
-  before the final chunk has arrived from its slower predecessor;
+* finish ``f_i = max(a_i + T_i, f_{i-1} + head_i)`` where
+  ``head_i = min(size, chunk) / bandwidth_i`` — a fast stage cannot finish
+  before the final chunk has arrived from its slower predecessor (the
+  predecessor's ``latency_{i-1}`` delays only the gate below, not this
+  bound);
 * the first chunk leaves stage *i* at ``a_i + overhead_i + head_i`` and
-  reaches stage *i+1* after ``latency_i``, gating that stage's start.
+  reaches stage *i+1* after ``latency_i``, gating that stage's start;
+* the message is delivered ``latency_out`` after the last stage finishes.
 
 For messages not larger than one chunk, this degrades to store-and-forward,
 which is the correct small-message behaviour.
@@ -25,10 +29,10 @@ which is the correct small-message behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Generator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Generator, Optional, Sequence
 
 from ..errors import SimulationError
-from .events import Event
+from .events import Event, Timeout
 from .resources import FifoResource
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,34 +46,22 @@ DEFAULT_CHUNK = 2048
 
 @dataclass(frozen=True)
 class Stage:
-    """One pipeline stage.
+    """One pipeline stage."""
 
-    Attributes
-    ----------
-    resource:
-        The contended resource this stage occupies, or ``None`` for a pure
-        delay stage (e.g. switch crossing with per-port contention modelled
-        in the adjacent link stages).
-    bandwidth:
-        Serialization bandwidth in bytes/us (== MB/s), or ``None`` for
-        infinite (overhead-only stages).
-    overhead:
-        Fixed per-message cost in us, paid before the first byte moves.
-    latency_out:
-        Propagation delay in us from this stage to the next.
-    name:
-        Debug label.
-    switch_latency:
-        The slice of ``latency_out`` spent crossing a switch/router
-        (attribution metadata for blame breakdowns — never used in
-        timing, which reads ``latency_out`` alone).
-    """
-
+    #: The contended resource this stage occupies, or ``None`` for a pure
+    #: delay stage (e.g. a switch crossing whose per-port contention is
+    #: modelled in the adjacent link stages).
     resource: Optional[FifoResource]
+    #: Serialization bandwidth in bytes/us (== MB/s); ``None`` is infinite.
     bandwidth: Optional[float] = None
+    #: Fixed per-message cost in us, paid before the first byte moves.
     overhead: float = 0.0
+    #: Propagation delay in us from this stage to the next.
     latency_out: float = 0.0
+    #: Debug label.
     name: str = ""
+    #: The slice of ``latency_out`` spent crossing a switch/router: blame
+    #: metadata only; timing reads ``latency_out`` alone.
     switch_latency: float = 0.0
 
     def serialization(self, size: int) -> float:
@@ -114,64 +106,85 @@ def transfer(
         raise SimulationError(f"chunk must be >= 1, got {chunk}")
     if not stages:
         raise SimulationError("transfer needs at least one stage")
-
-    head = min(size, chunk)
-    done = Event(sim)
-    n = len(stages)
-    # start_gates[i] fires (with predecessor finish time) when stage i may
-    # begin acquiring its resource.
-    start_gates: List[Event] = [Event(sim) for _ in range(n)]
-    start_gates[0].succeed(None)
-
-    def stage_proc(i: int) -> Generator[Event, Any, None]:
-        st = stages[i]
-        gate_val = yield start_gates[i]
-        prev_finish = gate_val  # None for stage 0
-        req = None
-        if st.resource is not None:
-            req = st.resource.request(
-                key=None if key is None else (key, i)
-            )
-            yield req
-        a_i = sim.now
-        t_ser = st.serialization(size)
-        finish = a_i + t_ser
-        if prev_finish is not None:
-            finish = max(finish, prev_finish + st.chunk_time(head))
-        # Gate the next stage once the first chunk is out and propagated.
-        if i + 1 < n:
-            first_out = a_i + st.overhead + st.chunk_time(head) + st.latency_out
-            gate_delay = max(0.0, first_out - sim.now)
-            sim.spawn(
-                _fire_after(sim, gate_delay, start_gates[i + 1], finish),
-                name=f"gate{i + 1}",
-            )
-        hold = max(0.0, finish - sim.now)
-        if hold > 0.0:
-            yield sim.timeout(hold)
-        if req is not None:
-            st.resource.release(req)
-        if i == n - 1:
-            # Final propagation out of the last stage (delivery latency).
-            if st.latency_out > 0.0:
-                yield sim.timeout(st.latency_out)
-            done.succeed(sim.now)
-
-    for i in range(n):
-        sim.spawn(stage_proc(i), name=f"xfer-stage{i}")
-    end = yield done
-    return end
+    return (yield _Transfer(sim, stages, size, min(size, chunk), key))
 
 
-def _fire_after(
-    sim: "Simulator", delay: float, gate: Event, value: Any
-) -> Generator[Event, Any, None]:
-    if delay > 0.0:
-        yield sim.timeout(delay)
-    else:
-        # Still yield once so the generator is valid even for zero delay.
-        yield sim.timeout(0.0)
-    gate.succeed(value)
+class _Transfer(Event):
+    """One message's walk through its stages, driven by kernel callbacks.
+
+    Its own completion event (as a process is), succeeding with the
+    delivery time.  A stage's grant (or, resource-less, its open gate)
+    computes ``a_i``/``f_i`` and schedules a gate timer that opens the
+    next stage and a hold timer, carrying the grant, that releases it.
+    Grants, and likewise releases, arrive in stage order, so a stage
+    counter, ``f_{i-1}`` and the timers' values are all the state.
+    """
+
+    __slots__ = ("stages", "size", "head", "msg_key", "stage", "_prev",
+                 "_req", "_on_grant", "_on_gate", "_on_hold")
+
+    def __init__(self, sim: "Simulator", stages: Sequence[Stage], size: int,
+                 head: int, key: Any) -> None:
+        super().__init__(sim)
+        self.stages, self.size, self.head, self.msg_key = stages, size, head, key
+        self.stage, self._prev, self._req = -1, None, None
+        self._on_grant, self._on_gate, self._on_hold = (
+            self._granted, self._open, self._hold)
+        self._open()
+
+    def _open(self, gate: Any = None) -> None:
+        i = self.stage = self.stage + 1
+        resource = self.stages[i].resource
+        if resource is None:
+            self._req = None
+            return self._granted(None)
+        key = None if self.msg_key is None else (self.msg_key, i)  # repro-lint: disable=RPR022 -- the per-stage grant key RaceSanitizer audits
+        self._req = resource.request(key=key)
+        self._req.callbacks.append(self._on_grant)
+
+    def _granted(self, req: Any) -> None:
+        sim, st = self.sim, self.stages[self.stage]
+        a_i = sim._now
+        finish = a_i + st.serialization(self.size)
+        head_time = st.chunk_time(self.head)
+        if self._prev is not None:
+            finish = max(finish, self._prev + head_time)
+        self._prev = finish
+        last = self.stage + 1 == len(self.stages)
+        hold = max(0.0, finish - a_i)
+        if hold > 0.0 and (last or req is not None):
+            timer = Timeout(sim, hold, req)
+            timer.callbacks.append(self._finish if last else self._on_hold)
+        elif last:
+            self._finish()
+        elif req is not None:
+            req.resource.release(req)
+        if not last:  # the first chunk, out and propagated, opens the next stage
+            first_out = a_i + st.overhead + head_time + st.latency_out
+            Timeout(sim, max(0.0, first_out - a_i)).callbacks.append(self._on_gate)
+
+    def _hold(self, timer: Event) -> None:
+        timer._value.resource.release(timer._value)
+
+    def _finish(self, timer: Any = None) -> None:
+        """Release the last stage; deliver ``latency_out`` later."""
+        if self._req is not None:
+            self._req.resource.release(self._req)
+        latency = self.stages[-1].latency_out
+        if latency > 0.0:
+            Timeout(self.sim, latency).callbacks.append(self._delivered)
+        else:
+            self._delivered()
+
+    def _delivered(self, timer: Any = None) -> None:
+        # Drop the pre-bound callbacks: they close a reference cycle.
+        self._on_grant = self._on_gate = self._on_hold = None
+        self.succeed(self.sim._now)
+
+    def describe(self) -> str:
+        req = self._req
+        where = req.describe() if req is not None and not req.triggered else "in flight"
+        return f"transfer stage {self.stage + 1}/{len(self.stages)}: {where}"
 
 
 def transfer_time_estimate(
@@ -183,14 +196,10 @@ def transfer_time_estimate(
     is granted immediately.
     """
     head = min(size, chunk)
-    start = 0.0
-    prev_finish: Optional[float] = None
+    start, finish = 0.0, None
     for st in stages:
-        a_i = start
-        finish = a_i + st.serialization(size)
-        if prev_finish is not None:
-            finish = max(finish, prev_finish + st.chunk_time(head))
-        start = a_i + st.overhead + st.chunk_time(head) + st.latency_out
-        prev_finish = finish
-    assert prev_finish is not None
-    return prev_finish + stages[-1].latency_out
+        prev, finish = finish, start + st.serialization(size)
+        if prev is not None:
+            finish = max(finish, prev + st.chunk_time(head))
+        start = start + st.overhead + st.chunk_time(head) + st.latency_out
+    return finish + stages[-1].latency_out

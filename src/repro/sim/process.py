@@ -53,11 +53,6 @@ class Process(Event):
         start.add_callback(self._resume)
         start.succeed(None)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self.triggered
-
     def describe(self) -> str:
         return f"process {self.name!r}"
 

@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.baseline import Baseline
+from repro.analysis.flow import DEFAULT_HOT_ROOTS
+from repro.analysis.flow.symbols import SymbolTable
 from repro.analysis.linter import lint_paths
 from repro.analysis.reporters import render_json
 from repro.analysis.rules import RULES
@@ -188,6 +190,12 @@ class TestAllocationPass:
         assert rules_of(findings) == ["RPR022"]
         assert "dict display" in findings[0].message
         assert "reachable from the kernel roots" in findings[0].message
+
+    def test_default_hot_roots_name_real_functions(self):
+        """A renamed kernel method must not silently drop out of the gate."""
+        repo_root = Path(__file__).resolve().parents[2]
+        symtab = SymbolTable.build([repo_root / "src"], root=repo_root)
+        assert [r for r in DEFAULT_HOT_ROOTS if r not in symtab.functions] == []
 
     def test_unreachable_allocation_not_flagged(self, tmp_path):
         findings = audit(tmp_path, {

@@ -102,6 +102,30 @@ def test_resource_blocked_process_describes_its_resource():
     assert "tx-engine" in roster["waiter"]
 
 
+def test_transfer_blocked_on_unreleased_resource_names_its_stage():
+    from repro.sim import FifoResource, Stage, transfer
+
+    sim = Simulator()
+    links = [FifoResource(sim, name=f"down{i}") for i in range(10)]
+    stages = [Stage(link, 1000.0, 0.1, 0.05) for link in links]
+
+    def hog():
+        yield links[2].request()  # granted and never released
+
+    def sender():
+        yield sim.timeout(1.0)
+        yield from transfer(sim, stages, 4096, key="msg9")
+
+    sim.spawn(hog(), name="hog")
+    sim.spawn(sender(), name="sender")
+    with pytest.raises(DeadlockError) as ei:
+        sim.run_all()
+    roster = dict(ei.value.roster)
+    assert roster["sender"] == (
+        "transfer stage 3/10: resource down2 [key=('msg9', 2)]"
+    )
+
+
 def test_clean_completion_unaffected_by_budgets():
     sim = Simulator()
     done = []

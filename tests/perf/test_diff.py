@@ -87,6 +87,53 @@ def test_threshold_must_be_a_fraction():
         compare_results(_doc([]), _doc([]), threshold=-0.1)
 
 
+def _counted(cases):
+    return {
+        "cases": [
+            {"case": name, "events_per_sec": 1000, "events": events}
+            for name, events in cases
+        ]
+    }
+
+
+def test_changed_event_count_fails_the_gate():
+    """Event counts are seed-determined: any difference fails, either way."""
+    base = _counted([("same", 500), ("fewer", 500), ("more", 500)])
+    cur = _counted([("same", 500), ("fewer", 499), ("more", 501)])
+    comparison = compare_results(base, cur)
+    by_case = _by_case(comparison)
+    assert by_case["same"]["status"] == "ok"
+    assert by_case["fewer"]["status"] == "events-changed"
+    assert by_case["more"]["status"] == "events-changed"
+    assert by_case["fewer"]["current_events"] == 499
+    assert comparison["events_changed"] == ["fewer", "more"]
+    assert comparison["passed"] is False
+    text = render_comparison(comparison)
+    assert "FAIL: fewer fired 499 events, baseline 500" in text
+    assert "PASS" not in text
+
+
+def test_event_count_checked_only_when_both_sides_carry_it():
+    comparison = compare_results(_counted([("a", 500)]), _doc([("a", 1000)]))
+    assert comparison["passed"] is True
+
+
+def test_regression_and_changed_count_both_reported():
+    base = _counted([("a", 500)])
+    cur = {"cases": [{"case": "a", "events_per_sec": 10, "events": 400}]}
+    comparison = compare_results(base, cur)
+    assert comparison["regressed"] == ["a"] == comparison["events_changed"]
+    assert _by_case(comparison)["a"]["status"] == "regressed"
+
+
+def test_cli_diff_fails_on_changed_event_count(tmp_path, capsys):
+    base = _write(tmp_path / "base.json", _counted([("a", 500)]))
+    cur = _write(tmp_path / "cur.json", _counted([("a", 250)]))
+    assert main(["diff", base, base]) == 0
+    assert main(["diff", base, cur]) == 1
+    capsys.readouterr()
+
+
 def test_render_comparison_has_verdict_line():
     good = compare_results(_doc([("a", 100)]), _doc([("a", 100)]))
     assert render_comparison(good).splitlines()[-1].startswith("PASS")

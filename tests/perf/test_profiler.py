@@ -104,9 +104,10 @@ def test_attribution_is_internally_consistent():
     # Attributed time is the inside-the-fire slice of the loop time.
     assert 0.0 < prof.attributed_wall_s <= prof.loop_wall_s
     assert prof.events_per_sec() > 0.0
-    # Every resumption credited a process class.
+    # Every resumption credited a process class; transfer state-machine
+    # callbacks are credited too, without being generator resumptions.
     assert prof.resumptions == sum(
-        s.count for s in prof.by_process_class.values()
+        s.count for cls, s in prof.by_process_class.items() if cls != "transfer"
     )
     assert prof.resumptions > 0
     assert prof.callbacks_dispatched >= prof.resumptions
@@ -127,6 +128,25 @@ def test_class_of_folds_numbered_processes():
     assert _class_of("watchdog") == "watchdog"
     assert _class_of("123") == "123"
     assert _class_of("") == "anonymous"
+
+
+def test_class_of_strips_every_digit_run():
+    """Pairwise names fold to one row, not one row per source rank."""
+    assert _class_of("elan.tx0->15") == "elan.tx->"
+    assert _class_of("elan.tx3->7") == "elan.tx->"
+    assert _class_of("ib.wire3->7") == "ib.wire->"
+    assert _class_of("ib.read12<-4") == "ib.read<-"
+
+
+def test_transfer_callbacks_credit_the_transfer_class():
+    """Pipelines spawn no processes; their callbacks still show up."""
+    machine, _ = _run(profiler=KernelProfiler())
+    prof = machine.sim.profiler
+    transfer = prof.by_process_class["transfer"]
+    assert transfer.count > 0 and transfer.wall_s > 0.0
+    assert not any(cls.startswith(("xfer-stage", "gate")) for cls in prof.by_process_class)
+    # Folded pairwise names: no class keeps a rank number.
+    assert not any(ch.isdigit() for cls in prof.by_process_class for ch in cls)
 
 
 def test_report_and_summary_shapes():
