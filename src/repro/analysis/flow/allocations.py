@@ -9,14 +9,15 @@ hot path cannot quietly grow allocations back.
 
 This pass walks the call graph from the kernel's **hot roots**:
 
-* the event loop — ``Simulator.run`` / ``Simulator._schedule_event``;
+* the event loop — ``Simulator.run`` / ``Simulator._schedule_at`` /
+  ``Simulator._call_at``;
 * event firing — ``Event._fire`` / ``Event._schedule`` /
   ``Event.succeed``;
-* the grant paths — ``FifoResource.request/_grant/release/_occ_update``
-  and ``Store.put/get/_stamp/try_get``;
+* the grant paths — ``FifoResource.request/_grant/release`` and
+  ``Store.put/get/_stamp/try_get``, plus the lazy release
+  (``FifoResource.release_at/_settle/_free/_timed_release``);
 * the pipelined-transfer state machine — every ``_Transfer`` callback
-  (``_open/_granted/_hold/_finish/_delivered``), run once or twice per
-  stage of every message;
+  (``_open/_granted/_delivered``), run once per stage of every message;
 * every method of the disabled-telemetry null singletons
   (``_Null*``/``Null*`` classes in :mod:`repro.telemetry`) — the
   "allocation-free when disabled" contract made mechanical.
@@ -48,22 +49,24 @@ from .symbols import SymbolTable
 #: ending in ``.`` (every method of the class is a root).
 DEFAULT_HOT_ROOTS: Tuple[str, ...] = (
     "repro.sim.engine.Simulator.run",
-    "repro.sim.engine.Simulator._schedule_event",
+    "repro.sim.engine.Simulator._schedule_at",
+    "repro.sim.engine.Simulator._call_at",
     "repro.sim.events.Event._fire",
     "repro.sim.events.Event._schedule",
     "repro.sim.events.Event.succeed",
     "repro.sim.resources.FifoResource.request",
     "repro.sim.resources.FifoResource._grant",
     "repro.sim.resources.FifoResource.release",
-    "repro.sim.resources.FifoResource._occ_update",
+    "repro.sim.resources.FifoResource.release_at",
+    "repro.sim.resources.FifoResource._settle",
+    "repro.sim.resources.FifoResource._free",
+    "repro.sim.resources.FifoResource._timed_release",
     "repro.sim.resources.Store.put",
     "repro.sim.resources.Store.get",
     "repro.sim.resources.Store._stamp",
     "repro.sim.resources.Store.try_get",
     "repro.sim.pipelines._Transfer._open",
     "repro.sim.pipelines._Transfer._granted",
-    "repro.sim.pipelines._Transfer._hold",
-    "repro.sim.pipelines._Transfer._finish",
     "repro.sim.pipelines._Transfer._delivered",
 )
 

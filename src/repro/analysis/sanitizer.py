@@ -104,6 +104,13 @@ class RaceSanitizer:
                 OrderViolation(previous=self._last, current=(t, seq))
             )
         self._last = (t, seq)
+        self.observe_inline(t, seq, event)
+
+    def observe_inline(self, t: float, seq: int, event: Any) -> None:
+        """Audit an event that fires without a heap pop (a resource's
+        synchronous grant) at the current ``(t, seq)``: it joins its
+        instant's group like a pop, but is not counted in
+        :attr:`events_observed` nor checked for heap order."""
         if t != self._time:
             self._flush()
             self._time = t

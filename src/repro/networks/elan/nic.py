@@ -159,12 +159,13 @@ class ElanNic(Nic):
         the rank's posting index for receive posts.
         """
         req = self.thread.request(key=key)
-        yield req
-        yield from self._maybe_stall()
-        cost, effect = cost_fn()
-        if cost > 0.0:
-            yield self.sim.timeout(cost)
         try:
+            if req.callbacks is not None:  # queued: an idle thread grants at once
+                yield req
+            yield from self._maybe_stall()
+            cost, effect = cost_fn()
+            if cost > 0.0:
+                yield self.sim.timeout(cost)
             return effect()
         finally:
             self.thread.release(req)

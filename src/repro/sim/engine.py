@@ -56,6 +56,8 @@ class Simulator:
         self._now = 0.0
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
+        #: Sequence number of the event firing now (orders lazy releases).
+        self._fire_seq: float = float("inf")
         self._running = False
         self.rng = RngStreams(seed)
         #: The observability bundle (:mod:`repro.telemetry`).  The shared
@@ -110,11 +112,22 @@ class Simulator:
 
     # -- event plumbing ----------------------------------------------------
 
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, self._seq, event))  # repro-lint: disable=RPR022 -- the heap entry is the kernel's one sanctioned per-event tuple
+    def _schedule_at(self, event: Event, t: float, seq: int = 0) -> None:
+        """Queue ``event`` to fire at absolute time ``t`` (>= now), after
+        every event scheduled before it, or at a ``seq`` reserved earlier."""
+        if not seq:
+            self._seq += 1
+            seq = self._seq
+        heapq.heappush(self._heap, (t, seq, event))  # repro-lint: disable=RPR022 -- the heap entry is the kernel's one sanctioned per-event tuple
         if self.profiler is not None:
             self.profiler.heap_pushes += 1
+
+    def _call_at(self, t: float, callback: Any, value: Any = None, seq: int = 0) -> None:
+        """Call ``callback(timer)`` at ``t`` from a bare timer carrying ``value``."""
+        timer = Event(self)
+        timer._value = value
+        timer.callbacks.append(callback)
+        self._schedule_at(timer, t, seq)
 
     def _process_crashed(self, proc: Process, exc: BaseException) -> None:
         self._crashed.append((proc, exc))
@@ -249,6 +262,7 @@ class Simulator:
                     self._now = until
                     break
                 self._now = t
+                self._fire_seq = _seq
                 self.events_processed += 1
                 if self.sanitizer is not None:
                     self.sanitizer.observe(t, _seq, event)
@@ -264,10 +278,19 @@ class Simulator:
                     raise SimulationError(
                         f"process {proc.name!r} crashed at t={self._now:.3f}us"
                     ) from exc
-                if until is not None and self._now < until:
+                if until is None:  # lazy releases are timers too
+                    until = self._now
+                    for res in self.resources:
+                        if res._held:
+                            until = max(until, res._held[-1].until)
+                if self._now < until:
                     self._now = until
         finally:
             self._running = False
+            heap = self._heap  # between runs: just before the next event
+            self._fire_seq = heap[0][1] if heap and heap[0][0] == self._now else float("inf")
+            for res in self.resources:
+                res._settle()
             if prof is not None:
                 prof.exit_run()
         return self._now

@@ -93,7 +93,7 @@ class Event:
     def _schedule(self) -> None:
         if not self._scheduled:
             self._scheduled = True
-            self.sim._schedule_event(self)
+            self.sim._schedule_at(self, self.sim._now)
 
     # -- kernel interface --------------------------------------------------
 
@@ -165,7 +165,7 @@ class Timeout(Event):
         self.delay = delay
         self._value = value
         self._scheduled = True
-        sim._schedule_event(self, delay)
+        sim._schedule_at(self, sim._now + delay)
 
     def describe(self) -> str:
         return f"Timeout({self.delay:g}us)"

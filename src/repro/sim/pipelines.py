@@ -113,23 +113,24 @@ class _Transfer(Event):
     """One message's walk through its stages, driven by kernel callbacks.
 
     Its own completion event (as a process is), succeeding with the
-    delivery time.  A stage's grant (or, resource-less, its open gate)
-    computes ``a_i``/``f_i`` and schedules a gate timer that opens the
-    next stage and a hold timer, carrying the grant, that releases it.
-    Grants, and likewise releases, arrive in stage order, so a stage
-    counter, ``f_{i-1}`` and the timers' values are all the state.
+    delivery time.  A stage's grant (synchronous when its resource is
+    idle; or, resource-less, its open gate) computes ``a_i``/``f_i``,
+    hands the slot to :meth:`FifoResource.release_at` for ``f_i`` (a
+    lazy release: no event unless someone queues behind it) and
+    schedules a gate timer that opens the next stage; the last stage's
+    one timer delivers.  Grants arrive in stage order, so a stage
+    counter and ``f_{i-1}`` are all the state.
     """
 
     __slots__ = ("stages", "size", "head", "msg_key", "stage", "_prev",
-                 "_req", "_on_grant", "_on_gate", "_on_hold")
+                 "_req", "_on_grant", "_on_gate")
 
     def __init__(self, sim: "Simulator", stages: Sequence[Stage], size: int,
                  head: int, key: Any) -> None:
         super().__init__(sim)
         self.stages, self.size, self.head, self.msg_key = stages, size, head, key
         self.stage, self._prev, self._req = -1, None, None
-        self._on_grant, self._on_gate, self._on_hold = (
-            self._granted, self._open, self._hold)
+        self._on_grant, self._on_gate = self._granted, self._open
         self._open()
 
     def _open(self, gate: Any = None) -> None:
@@ -139,8 +140,11 @@ class _Transfer(Event):
             self._req = None
             return self._granted(None)
         key = None if self.msg_key is None else (self.msg_key, i)  # repro-lint: disable=RPR022 -- the per-stage grant key RaceSanitizer audits
-        self._req = resource.request(key=key)
-        self._req.callbacks.append(self._on_grant)
+        req = self._req = resource.request(key=key)
+        if req.callbacks is None:
+            self._granted(req)
+        else:
+            req.callbacks.append(self._on_grant)
 
     def _granted(self, req: Any) -> None:
         sim, st = self.sim, self.stages[self.stage]
@@ -150,35 +154,21 @@ class _Transfer(Event):
         if self._prev is not None:
             finish = max(finish, self._prev + head_time)
         self._prev = finish
-        last = self.stage + 1 == len(self.stages)
-        hold = max(0.0, finish - a_i)
-        if hold > 0.0 and (last or req is not None):
-            timer = Timeout(sim, hold, req)
-            timer.callbacks.append(self._finish if last else self._on_hold)
-        elif last:
-            self._finish()
-        elif req is not None:
-            req.resource.release(req)
-        if not last:  # the first chunk, out and propagated, opens the next stage
+        until = a_i + max(0.0, finish - a_i)
+        if req is not None:
+            req.resource.release_at(req, until)
+        if self.stage + 1 < len(self.stages):
+            # The first chunk, out and propagated, opens the next stage.
             first_out = a_i + st.overhead + head_time + st.latency_out
             Timeout(sim, max(0.0, first_out - a_i)).callbacks.append(self._on_gate)
-
-    def _hold(self, timer: Event) -> None:
-        timer._value.resource.release(timer._value)
-
-    def _finish(self, timer: Any = None) -> None:
-        """Release the last stage; deliver ``latency_out`` later."""
-        if self._req is not None:
-            self._req.resource.release(self._req)
-        latency = self.stages[-1].latency_out
-        if latency > 0.0:
-            Timeout(self.sim, latency).callbacks.append(self._delivered)
+        elif until + st.latency_out > a_i:
+            sim._call_at(until + st.latency_out, self._delivered)
         else:
             self._delivered()
 
     def _delivered(self, timer: Any = None) -> None:
         # Drop the pre-bound callbacks: they close a reference cycle.
-        self._on_grant = self._on_gate = self._on_hold = None
+        self._on_grant = self._on_gate = None
         self.succeed(self.sim._now)
 
     def describe(self) -> str:

@@ -4,7 +4,9 @@
 link direction, a NIC DMA engine, a CPU.  Grants are strictly FIFO, which
 matches bus arbitration and switch-port scheduling closely enough for this
 study (the paper's effects come from *which* resources are shared, not from
-arbitration fairness subtleties).
+arbitration fairness subtleties).  Most requests find their resource idle,
+so an idle grant is synchronous and a hold that nobody queues behind is
+released lazily: neither costs a heap event.
 
 :class:`Store` is an unbounded FIFO mailbox used for queues between model
 components (e.g. NIC-to-host completion queues, the Elan thread processor's
@@ -14,7 +16,7 @@ work queue).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Generator, Optional
+from typing import TYPE_CHECKING, Any, Deque, Generator, Optional, Sequence
 
 from ..errors import SimulationError
 from ..telemetry.series import NULL_CHANNEL
@@ -25,9 +27,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class ResourceRequest(Event):
-    """The grant event of one :meth:`FifoResource.request` call."""
+    """The grant event of one :meth:`FifoResource.request` call
+    (``until``/``until_seq``: a pending :meth:`FifoResource.release_at`)."""
 
-    __slots__ = ("resource",)
+    __slots__ = ("resource", "until", "until_seq")
 
     def __init__(
         self, sim: "Simulator", resource: "FifoResource", key: Any = None
@@ -67,7 +70,16 @@ class StoreGet(Event):
 
 
 class FifoResource:
-    """A resource with ``capacity`` slots granted in request order."""
+    """A resource with ``capacity`` slots granted in request order.
+
+    A request that finds a slot free is granted synchronously: its event
+    is returned already processed (yielding it still works, at the cost
+    of one micro-event).  A queued request keeps its grant event.
+    """
+
+    #: Grants awaiting a lazy release, in ``until`` order (empty while one
+    #: queues); a list of its own from the first lazy hold, not construction.
+    _held: Sequence[ResourceRequest] = ()
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "") -> None:
         if capacity < 1:
@@ -83,7 +95,7 @@ class FifoResource:
         self.total_grants = 0
         self.total_wait_time = 0.0
         self._busy_since: Optional[float] = None
-        self.busy_time = 0.0
+        self._busy_time = 0.0
         #: Most requests ever queued at once (queue-depth high-water mark).
         self.queue_hwm = 0
         #: Most slots ever granted at once.
@@ -109,7 +121,8 @@ class FifoResource:
     # -- acquisition -------------------------------------------------------
 
     def request(self, key: Any = None) -> Event:
-        """An event granted when a slot is free (FIFO order).
+        """An event granted when a slot is free (FIFO order); already
+        processed when a slot is free now.
 
         The event's value is the request time, so callers can compute their
         own queueing delay; :attr:`total_wait_time` accumulates it globally.
@@ -119,36 +132,43 @@ class FifoResource:
         same-time requests on this resource have a meaningful order
         (e.g. the wire sequence number of the message being serviced).
         """
-        ev = ResourceRequest(self.sim, self, key=key)
+        sim = self.sim
+        ev = ResourceRequest(sim, self, key=key)
+        if self._held:
+            self._settle()
         if self._in_use < self.capacity and not self._waiters:
-            self._grant(ev, self.sim.now)
+            self._grant(ev, sim._now)
+            ev._value, ev.callbacks = sim._now, None
+            if sim.sanitizer is not None:
+                sim.sanitizer.observe_inline(sim._now, sim._seq, ev)
         else:
-            self._waiters.append((ev, self.sim.now))  # repro-lint: disable=RPR022 -- waiter pair (request, enqueue time) backs FIFO fairness
+            if self._held:  # someone waits now: release on time
+                for held in self._held:
+                    sim._call_at(held.until, self._timed_release, held, held.until_seq)
+                self._held.clear()
+            self._waiters.append((ev, sim._now))  # repro-lint: disable=RPR022 -- waiter pair (request, enqueue time) backs FIFO fairness
             if len(self._waiters) > self.queue_hwm:
                 self.queue_hwm = len(self._waiters)
         return ev
 
-    def _occ_update(self) -> None:
-        now = self.sim.now
+    def _grant(self, ev: Event, requested_at: float) -> None:
+        """Account the grant of a slot to ``ev`` (the caller triggers it)."""
+        now = self.sim._now
         self.slot_busy_time += self._in_use * (now - self._occ_at)
         self._occ_at = now
-
-    def _grant(self, ev: Event, requested_at: float) -> None:
-        self._occ_update()
         self._in_use += 1
         if self._in_use > self.in_use_hwm:
             self.in_use_hwm = self._in_use
         self.total_grants += 1
-        self.total_wait_time += self.sim.now - requested_at
+        self.total_wait_time += now - requested_at
         if self._busy_since is None:
-            self._busy_since = self.sim.now
+            self._busy_since = now
         if self._timeline is not None:
-            self._grant_times[ev] = self.sim.now
-        self._series.record(self.sim.now, self._in_use)
-        ev.succeed(requested_at)
+            self._grant_times[ev] = now
+        self._series.record(now, self._in_use)
 
     def release(self, req: Event) -> None:
-        """Return the slot held by ``req``."""
+        """Return the slot held by ``req`` (or withdraw it, still queued)."""
         if not req.triggered:
             # Cancellation of a queued request.
             for pair in self._waiters:
@@ -156,26 +176,64 @@ class FifoResource:
                     self._waiters.remove(pair)
                     return
             raise SimulationError("release() of unknown pending request")
-        if self._in_use <= 0:
-            raise SimulationError(f"release() of idle resource {self.name!r}")
-        self._occ_update()
-        self._in_use -= 1
-        self._series.record(self.sim.now, self._in_use)
-        if self._timeline is not None:
-            started = self._grant_times.pop(req, None)
-            if started is not None:
-                self._timeline.span(
-                    self.name,
-                    self.name,
-                    "resource",
-                    started,
-                    self.sim.now - started,
-                )
+        if self._held:
+            self._settle()
+        self._free(req, self.sim._now)
         if self._waiters:
             nxt, requested_at = self._waiters.popleft()
             self._grant(nxt, requested_at)
-        if self._in_use == 0 and self._busy_since is not None:
-            self.busy_time += self.sim.now - self._busy_since
+            nxt.succeed(requested_at)
+
+    def release_at(self, req: ResourceRequest, until: float) -> None:
+        """Release ``req``'s slot at absolute time ``until`` (>= now).
+
+        With nobody waiting and no timeline or series recording (whose
+        points must keep a timer's global order), this records ``until``
+        and reserves a timer's sequence number, and the next request,
+        release or statistics read after that ``(time, seq)`` settles it
+        at ``until``; a request that queues first arms the timer itself.
+        """
+        sim = self.sim
+        if until <= sim._now:
+            self.release(req)
+        elif self._waiters or self._timeline is not None or self._series is not NULL_CHANNEL:
+            sim._call_at(until, self._timed_release, req)
+        else:
+            sim._seq += 1
+            req.until, req.until_seq = until, sim._seq
+            held = self._held
+            i = len(held)
+            while i and held[i - 1].until > until:
+                i -= 1
+            try:
+                held.insert(i, req)
+            except AttributeError:  # the class's empty tuple: a first lazy hold
+                self._held = [req]  # repro-lint: disable=RPR022 -- one list per resource, on its first lazy hold
+
+    def _timed_release(self, timer: Event) -> None:
+        self.release(timer._value)
+
+    def _settle(self) -> None:
+        """Release every lazily held slot whose timer would have fired."""
+        held, now, seq = self._held, self.sim._now, self.sim._fire_seq
+        while held and (held[0].until < now or held[0].until == now and held[0].until_seq < seq):
+            req = held.pop(0)
+            self._free(req, req.until)
+
+    def _free(self, req: Event, t: float) -> None:
+        """Account the release of ``req``'s slot at time ``t``."""
+        if self._in_use <= 0:
+            raise SimulationError(f"release() of idle resource {self.name!r}")
+        self.slot_busy_time += self._in_use * (t - self._occ_at)
+        self._occ_at = t
+        self._in_use -= 1
+        self._series.record(t, self._in_use)
+        if self._timeline is not None:
+            started = self._grant_times.pop(req, None)
+            if started is not None:
+                self._timeline.span(self.name, self.name, "resource", started, t - started)
+        if self._in_use == 0 and not self._waiters:
+            self._busy_time += t - self._busy_since
             self._busy_since = None
 
     def using(
@@ -183,8 +241,9 @@ class FifoResource:
     ) -> Generator[Event, Any, None]:
         """Generator helper: acquire, hold ``duration`` us, release."""
         req = self.request(key=key)
-        yield req
         try:
+            if req.callbacks is not None:
+                yield req
             yield self.sim.timeout(duration)
         finally:
             self.release(req)
@@ -192,8 +251,15 @@ class FifoResource:
     # -- introspection -------------------------------------------------------
 
     @property
+    def busy_time(self) -> float:
+        """Time at least one slot was busy, up to the last idle instant."""
+        self._settle()
+        return self._busy_time
+
+    @property
     def in_use(self) -> int:
         """Currently granted slots."""
+        self._settle()
         return self._in_use
 
     @property
@@ -213,6 +279,7 @@ class FifoResource:
         """Mean fraction of slots in use over time (the busy-time integral
         normalized by capacity).  Equals :meth:`utilization` for
         unit-capacity resources."""
+        self._settle()
         integral = self.slot_busy_time + self._in_use * (self.sim.now - self._occ_at)
         total = elapsed if elapsed is not None else self.sim.now
         return 0.0 if total <= 0 else integral / (self.capacity * total)

@@ -162,6 +162,50 @@ class TestKernelIntegration:
         assert san.clean, san.report()
         assert order == [0, 1]
 
+    def run_inline_then_queued(self, keys):
+        """Two grants on one resource at t=0: the first synchronous (the
+        resource is idle), the second from the queue after a zero hold."""
+        san = RaceSanitizer()
+        sim = Simulator(sanitizer=san)
+        res = FifoResource(sim, name="dut")
+        inline = []
+
+        def proc(key):
+            req = res.request(key=key)
+            inline.append(req.processed)
+            if not req.processed:
+                yield req
+            yield sim.timeout(0.0)
+            res.release(req)
+
+        for n, key in enumerate(keys):
+            sim.spawn(proc(key), name=f"p{n}")
+        sim.run_all()
+        san.finish()
+        assert inline == [True, False]
+        assert not san.order_violations
+        return san
+
+    def test_inline_and_queued_keyless_grants_flagged(self):
+        san = self.run_inline_then_queued([None, None])
+        assert san.race_count == 1
+        (finding,) = san.findings
+        assert finding.scope == "FifoResource(dut)"
+        assert [desc for _s, _k, desc in finding.events] == ["resource dut"] * 2
+
+    def test_inline_and_queued_keyed_grants_clean(self):
+        san = self.run_inline_then_queued([("m", 0), ("m", 1)])
+        assert san.clean, san.report()
+
+    def test_inline_observation_is_not_a_pop(self):
+        san = RaceSanitizer()
+        san.observe(1.0, 7, FakeEvent())
+        san.observe_inline(1.0, 3, FakeEvent(Scope("r")))
+        san.observe(1.0, 8, FakeEvent())
+        san.finish()
+        assert san.events_observed == 2
+        assert not san.order_violations
+
     def test_store_deliveries_auto_stamped(self):
         san = RaceSanitizer()
         sim = Simulator(sanitizer=san)

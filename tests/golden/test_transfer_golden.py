@@ -7,7 +7,9 @@ keyed same-instant contention on one :class:`~repro.sim.FifoResource`,
 size 0 / one chunk / many chunks, resource-less stages, a last stage
 with ``latency_out=0``, the ``f_{i-1} + head/B_i`` pipelining term, and
 ping-pong on both stacks over crossbar, fat-tree and torus fabrics,
-with and without a soft-fault plan.
+with and without a soft-fault plan, and the resource statistics of a
+telemetry snapshot (busy time, utilization, occupancy, grants, waiting,
+high-water marks) of a contended far-pair run.
 
 Regenerating the pins is a model change, recorded with its reason::
 
@@ -25,6 +27,7 @@ from repro import FaultPlan, Machine
 from repro.microbench.pingpong import pingpong_program
 from repro.perf.ladder import far_pingpong
 from repro.sim import FifoResource, Simulator, Stage, transfer, transfer_time_estimate
+from repro.telemetry.collect import snapshot
 from repro.topology import TopologySpec
 
 
@@ -165,6 +168,54 @@ def soft_faults() -> Dict[str, List[str]]:
     return out
 
 
+#: The per-resource statistics a snapshot reports, in pin order.
+RESOURCE_STATS = (
+    "busy_us", "utilization", "occupancy", "grants", "wait_us", "queue_hwm", "in_use_hwm",
+)
+
+
+def far_exchange(size: int, window: int):
+    """Rank 0 and the last rank swap ``window`` non-blocking messages."""
+
+    def program(mpi):
+        last = mpi.size - 1
+        if mpi.rank not in (0, last):
+            return None
+        peer = last if mpi.rank == 0 else 0
+        reqs = []
+        for tag in range(window):
+            reqs.append((yield from mpi.irecv(source=peer, tag=tag, size=size)))
+        for tag in range(window):
+            reqs.append((yield from mpi.isend(dest=peer, size=size, tag=tag)))
+        yield from mpi.waitall(reqs)
+
+    return program
+
+
+def contended_snapshot() -> Dict[str, Dict[str, List[str]]]:
+    """Snapshot statistics of every resource that queued in a far-pair run.
+
+    Two ranks per node share each PCI-X slot and CPU pair, and both far
+    ranks stream at once, so grants queue on buses, engines and links.
+    A resource is pinned when its ``queue_hwm`` is non-zero, so one that
+    stops (or starts) queueing changes the key set.
+    """
+    out = {}
+    for network in ("ib", "elan"):
+        topo = TopologySpec(kind="fattree", radix=4, levels=2)
+        machine = Machine(network, 4, ppn=2, seed=3, topology=topo)
+        machine.run(far_exchange(16384, 6))
+        snap = snapshot(machine.sim)
+        row = {}
+        for res in machine.sim.resources:
+            prefix = f"resource.{res.name}"
+            if res.name and snap[f"{prefix}.queue_hwm"]:
+                row[res.name] = [repr(snap[f"{prefix}.{stat}"]) for stat in RESOURCE_STATS]
+        row["sim"] = [repr(snap["sim.time_us"])]
+        out[network] = row
+    return out
+
+
 CASES = {
     "contention": contention,
     "shared_across_stages": shared_across_stages,
@@ -174,6 +225,7 @@ CASES = {
     "head_term": head_term,
     "pingpong": pingpong,
     "soft_faults": soft_faults,
+    "contended_snapshot": contended_snapshot,
 }
 
 GOLDEN = {
@@ -300,6 +352,158 @@ GOLDEN = {
             "283.72372469635775",
         ],
     },
+    "contended_snapshot": {
+        "ib": {
+            "up0": [
+                "107.71612903225775", "0.09604269640764287", "0.09604269640764287",
+                "23", "1.807074136956544", "1", "1",
+            ],
+            "up3": [
+                "107.71612903225787", "0.09604269640764297", "0.09604269640764297",
+                "23", "6.594216185625328", "1", "1",
+            ],
+            "down3": [
+                "107.71612903225787", "0.09604269640764297", "0.09604269640764297",
+                "23", "2.2737367544323206e-13", "1", "1",
+            ],
+            "pcix0": [
+                "220.59789473683998", "0.19669121813717114", "0.19669121813717114",
+                "48", "615.4107809847112", "5", "1",
+            ],
+            "pcix1": [
+                "3.0063157894733195", "0.002680514768474662", "0.002680514768474662",
+                "12", "0.2505263157894433", "1", "1",
+            ],
+            "pcix2": [
+                "3.0063157894733195", "0.002680514768474662", "0.002680514768474662",
+                "12", "0.2505263157894433", "1", "1",
+            ],
+            "pcix3": [
+                "220.59789473683986", "0.19669121813717103", "0.19669121813717103",
+                "48", "736.3949575551734", "6", "1",
+            ],
+            "nic0.tx": [
+                "128.46923033389942", "0.11454673870602262", "0.11454673870602262",
+                "24", "39.72711375212225", "4", "1",
+            ],
+            "nic1.tx": [
+                "13.200000000000273", "0.011769487113682435", "0.011769487113682435",
+                "6", "1.9494736842106022", "1", "1",
+            ],
+            "nic2.tx": [
+                "13.200000000000273", "0.011769487113682435", "0.011769487113682435",
+                "6", "1.9494736842106022", "1", "1",
+            ],
+            "nic3.tx": [
+                "127.33421052631604", "0.11353472347881606", "0.11353472347881606",
+                "24", "40.961578947368025", "4", "1",
+            ],
+            "link.isl:l0>s0": [
+                "107.81935483870916", "0.09613473540755418", "0.09613473540755418",
+                "25", "0.05161290322575951", "1", "1",
+            ],
+            "link.isl:s0>l1": [
+                "107.81935483870927", "0.09613473540755428", "0.09613473540755428",
+                "25", "2.2737367544323206e-13", "1", "1",
+            ],
+            "link.isl:l1>s0": [
+                "107.81935483870939", "0.09613473540755438", "0.09613473540755438",
+                "25", "0.05161290322575951", "1", "1",
+            ],
+            "link.isl:s0>l0": [
+                "107.81935483870939", "0.09613473540755438", "0.09613473540755438",
+                "25", "0.0", "1", "1",
+            ],
+            "sim": [
+                "1121.5441992076967",
+            ],
+        },
+        "elan": {
+            "cpu0.0": [
+                "253.96000000000038", "0.5390587389686442", "0.5390587389686442",
+                "19", "15.180000000001826", "11", "1",
+            ],
+            "cpu0.1": [
+                "251.32000000000002", "0.5334550412568888", "0.5334550412568888",
+                "7", "0.6599999999999966", "1", "1",
+            ],
+            "pcix0": [
+                "212.56421052631595", "0.4511915076239609", "0.4511915076239609",
+                "24", "834.1789473684216", "6", "1",
+            ],
+            "cpu1.0": [
+                "251.32000000000005", "0.5334550412568888", "0.5334550412568888",
+                "7", "0.660000000000025", "1", "1",
+            ],
+            "cpu1.1": [
+                "251.32", "0.5334550412568887", "0.5334550412568887",
+                "7", "0.6599999999999966", "1", "1",
+            ],
+            "pcix1": [
+                "2.8042105263157566", "0.005952253071815906", "0.005952253071815906",
+                "12", "0.36659919028338095", "1", "1",
+            ],
+            "cpu2.0": [
+                "251.32000000000005", "0.5334550412568888", "0.5334550412568888",
+                "7", "0.660000000000025", "1", "1",
+            ],
+            "cpu2.1": [
+                "251.32000000000002", "0.5334550412568888", "0.5334550412568888",
+                "7", "0.6599999999999966", "1", "1",
+            ],
+            "pcix2": [
+                "2.804210526315728", "0.005952253071815846", "0.005952253071815846",
+                "12", "0.34291497975706875", "1", "1",
+            ],
+            "cpu3.0": [
+                "251.32000000000005", "0.5334550412568888", "0.5334550412568888",
+                "7", "0.660000000000025", "1", "1",
+            ],
+            "cpu3.1": [
+                "253.96000000000032", "0.5390587389686441", "0.5390587389686441",
+                "19", "15.180000000001797", "11", "1",
+            ],
+            "pcix3": [
+                "212.56421052631597", "0.45119150762396093", "0.45119150762396093",
+                "24", "822.2026315789476", "6", "1",
+            ],
+            "nic0.tx": [
+                "92.54526315789508", "0.1964377573453149", "0.1964377573453149",
+                "12", "0.06631578947369121", "1", "1",
+            ],
+            "elan0.thr": [
+                "6.0", "0.012735676617624272", "0.012735676617624272",
+                "24", "0.19999999999998863", "1", "1",
+            ],
+            "nic1.tx": [
+                "1.8000000000000682", "0.0038207029852874268", "0.0038207029852874268",
+                "6", "0.13263157894738242", "1", "1",
+            ],
+            "elan1.thr": [
+                "3.0000000000000284", "0.006367838308812197", "0.006367838308812197",
+                "12", "0.4300000000000068", "1", "1",
+            ],
+            "nic2.tx": [
+                "1.8000000000000682", "0.0038207029852874268", "0.0038207029852874268",
+                "6", "0.06631578947369121", "1", "1",
+            ],
+            "elan2.thr": [
+                "3.0", "0.006367838308812136", "0.006367838308812136",
+                "12", "0.19999999999998863", "1", "1",
+            ],
+            "nic3.tx": [
+                "92.54526315789508", "0.1964377573453149", "0.1964377573453149",
+                "12", "0.13263157894738242", "1", "1",
+            ],
+            "elan3.thr": [
+                "6.000000000000028", "0.012735676617624333", "0.012735676617624333",
+                "24", "0.9330769230768396", "2", "1",
+            ],
+            "sim": [
+                "471.117489878543",
+            ],
+        },
+    },
 }
 
 
@@ -308,12 +512,26 @@ def test_golden(case):
     assert CASES[case]() == GOLDEN[case]
 
 
+class _FiredTypes:
+    """A sanitizer stand-in that records the type of every popped event."""
+
+    def __init__(self):
+        self.fired: List[str] = []
+
+    def observe(self, t, seq, event):
+        self.fired.append(type(event).__name__)
+
+    def observe_inline(self, t, seq, event):
+        pass
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 10])
 def test_uncontended_transfer_work_count(n):
-    """No processes per stage; at most three events per stage plus two."""
+    """No processes and no grant events; at most one event per stage plus two."""
 
     def events_and_spawns(with_transfer):
-        sim = Simulator()
+        recorder = _FiredTypes()
+        sim = Simulator(sanitizer=recorder)
         stages = [
             Stage(FifoResource(sim, name=f"s{i}"), 1000.0, 0.1, 0.05)
             for i in range(n)
@@ -330,12 +548,14 @@ def test_uncontended_transfer_work_count(n):
         real_spawn = sim.spawn
         sim.spawn = lambda *a, **k: spawned.append(a) or real_spawn(*a, **k)
         sim.run_all()
-        return sim.events_processed, len(spawned)
+        assert all(res.in_use == 0 for res in sim.resources)
+        return sim.events_processed, len(spawned), recorder.fired
 
-    events, spawns = events_and_spawns(True)
-    idle_events, _ = events_and_spawns(False)
+    events, spawns, fired = events_and_spawns(True)
+    idle_events, _, _ = events_and_spawns(False)
     assert spawns == 0
-    assert events - idle_events + 1 <= 3 * n + 2
+    assert "ResourceRequest" not in fired
+    assert events - idle_events + 1 <= n + 2
 
 
 if __name__ == "__main__":

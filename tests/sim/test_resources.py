@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import FifoResource, Simulator, Store
+from repro.sim.process import Interrupted
+from repro.telemetry import Telemetry
 
 
 def test_capacity_must_be_positive():
@@ -174,3 +176,156 @@ def test_store_multiple_getters_fifo():
     store.put(2)
     sim.run()
     assert got == [("x", 1), ("y", 2)]
+
+
+def test_interrupted_waiter_withdraws_its_request():
+    """A process interrupted while queued in ``using`` leaves no grant behind."""
+    sim = Simulator()
+    res = FifoResource(sim, name="r")
+    log = []
+
+    def holder():
+        yield from res.using(5.0)
+
+    def victim():
+        try:
+            yield from res.using(1.0)
+        except Interrupted:
+            log.append(("interrupted", sim.now))
+
+    def later():
+        yield sim.timeout(2.0)
+        yield from res.using(1.0)
+        log.append(("later", sim.now))
+
+    sim.spawn(holder(), name="h")
+    v = sim.spawn(victim(), name="v")
+    sim.spawn(later(), name="l")
+
+    def interrupter():
+        yield sim.timeout(1.0)
+        v.interrupt()
+
+    sim.spawn(interrupter(), name="i")
+    sim.run_all()
+    assert log == [("interrupted", 1.0), ("later", 6.0)]
+    assert res.in_use == 0 and res.queue_length == 0
+    assert res.total_grants == 2
+
+
+def test_idle_grant_is_synchronous_and_still_yieldable():
+    sim = Simulator()
+    res = FifoResource(sim)
+    got = []
+
+    def proc():
+        req = res.request()
+        assert req.processed and req.value == 0.0
+        got.append((yield req))
+        res.release(req)
+
+    sim.spawn(proc())
+    sim.run_all()
+    assert got == [0.0]
+    assert sim.pending_events() == 0
+
+
+def test_lazy_release_settles_statistics_at_its_time():
+    sim = Simulator()
+    res = FifoResource(sim, name="bus")
+    req = res.request()
+    res.release_at(req, 4.0)
+    assert sim.pending_events() == 0  # nobody waits: no timer
+    assert res.in_use == 1
+    assert sim.run() == 4.0  # the clock still runs to the release
+    assert res.in_use == 0
+    assert res.busy_time == 4.0
+    assert res.utilization(10.0) == 0.4
+    assert res.occupancy(10.0) == 0.4
+
+
+def test_lazy_release_armed_when_someone_queues():
+    sim = Simulator()
+    res = FifoResource(sim, name="bus")
+    granted = []
+    first = res.request()
+    res.release_at(first, 3.0)
+
+    def waiter():
+        yield sim.timeout(1.0)
+        req = res.request()
+        yield req
+        granted.append(sim.now)
+        res.release(req)
+
+    sim.spawn(waiter())
+    sim.run_all()
+    assert granted == [3.0]
+    assert res.total_wait_time == 2.0
+    assert res.queue_hwm == 1
+    assert res.busy_time == 3.0
+
+
+def test_lazy_release_orders_like_its_timer_at_the_same_instant():
+    """A request at a lazy release's instant sees the slot free only if it
+    comes after the timer the release would have armed."""
+    for request_first in (True, False):
+        sim = Simulator()
+        res = FifoResource(sim, name="bus")
+        waits = []
+
+        def requester():
+            req = res.request()
+            waits.append(res.queue_length)
+            yield req
+            res.release(req)
+
+        def holder():
+            req = res.request()
+            res.release_at(req, 2.0)
+            yield sim.timeout(0.0)
+
+        if request_first:  # the requester's wakeup is scheduled first
+            sim.spawn(_after(sim, 2.0, requester))
+            sim.spawn(holder())
+        else:
+            sim.spawn(holder())
+            sim.spawn(_after(sim, 2.0, requester))
+        sim.run_all()
+        assert waits == [1 if request_first else 0]
+        assert res.queue_hwm == waits[0]
+        assert res.in_use == 0 and res.busy_time == 2.0
+
+
+def test_lazy_release_keeps_series_order_under_the_bank_limit():
+    """With series sampling on, a hold's release point is recorded at its
+    time, so a full bank drops the same later points a hold timer would."""
+    sim = Simulator(telemetry=Telemetry(series=True, series_limit=2))
+    a, b = FifoResource(sim, name="a"), FifoResource(sim, name="b")
+    a.release_at(a.request(), 2.0)
+
+    def grab():
+        yield b.request()
+
+    sim.spawn(_after(sim, 3.0, grab))
+    sim.run()
+    bank = sim.telemetry.series
+    assert bank.channels["resource.a.in_use"].points == [(0.0, 1), (2.0, 0)]
+    assert bank.dropped_by_channel == {"resource.b.in_use": 1}
+
+
+def test_release_of_a_lazily_released_slot_is_refused():
+    """A slot released twice (once early, once by its pending lazy
+    release) is an error, as when the hold's timer fired on a free slot."""
+    sim = Simulator()
+    res = FifoResource(sim, name="r")
+    req = res.request()
+    res.release_at(req, 5.0)
+    res.release(req)
+    with pytest.raises(SimulationError, match="idle resource 'r'"):
+        sim.run()
+
+
+def _after(sim, delay, body):
+    yield sim.timeout(delay)
+    yield from body()
