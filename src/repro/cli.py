@@ -55,7 +55,7 @@ COMMANDS = {
     ),
     "perf": (
         "repro.perf.cli",
-        "run the perf ladder and gate events/sec regressions",
+        "time the perf ladder and gate wall-time and event-count changes",
     ),
     "lint": (
         "repro.analysis.cli",

@@ -12,11 +12,13 @@ calls unfalsifiable without it:
   periodic Python stacks for collapsed-stack flamegraphs, and
   :func:`kernel_chrome_trace` exports the attribution as Chrome-trace
   "kernel" spans alongside the existing simulation-time exporter.
-* **How fast is the simulator, over time?**  :func:`run_ladder` runs a
+* **How fast is the simulator, over time?**  :func:`run_ladder` times a
   standard workload ladder (ping-pong, b_eff, sweep3d across crossbar,
-  fat-tree, torus and a degraded fabric) and emits ``BENCH_perf.json``;
-  :func:`compare_results` / ``repro perf diff`` gate events/sec
-  regressions against the committed baseline in CI.
+  fat-tree, torus and a degraded fabric), unprofiled, in a start-up and
+  a program window per rung, and emits ``BENCH_perf.json``;
+  :func:`compare_results` / ``repro perf diff`` gate each window's
+  event count exactly and its median wall time against the committed
+  baseline in CI.
 
 The disabled default follows the telemetry null-singleton discipline:
 a simulator built without a profiler pays one identity check per event,
@@ -26,7 +28,7 @@ in the kernel; lint rule RPR012 enforces that seam).
 """
 
 from .diff import (
-    DEFAULT_THRESHOLD,
+    MIN_THRESHOLD,
     compare_results,
     load_results,
     render_comparison,
@@ -34,11 +36,9 @@ from .diff import (
 from .ladder import (
     LADDER,
     LadderCase,
-    chaos_rows,
     ladder_cases,
     run_case,
     run_ladder,
-    topology_rows,
     write_results,
 )
 from .profiler import (
@@ -58,11 +58,9 @@ __all__ = [
     "ladder_cases",
     "run_case",
     "run_ladder",
-    "topology_rows",
-    "chaos_rows",
     "write_results",
     "compare_results",
     "load_results",
     "render_comparison",
-    "DEFAULT_THRESHOLD",
+    "MIN_THRESHOLD",
 ]

@@ -1,17 +1,18 @@
 """``repro perf``: run / diff / list.
 
-``run`` executes the standard workload ladder under the kernel
-profiler and writes ``BENCH_perf.json`` (plus the historical
-``BENCH_topology.json`` / ``BENCH_chaos.json`` next to it, from the
-same runs).  ``diff`` compares two results files and exits nonzero on
-an events/sec regression past the threshold or on any change in a
-case's seed-determined event count — the CI perf gate.
+``run`` times the standard workload ladder, unprofiled, in two windows
+per rung (start-up and program) and writes ``BENCH_perf.json``;
+``--sample`` or ``--chrome`` adds one profiled pass per rung.  ``diff``
+compares two results files and exits nonzero when a window's median
+wall time rose past its spread-derived limit, a window's
+seed-determined event count changed, or a rung's workload differs —
+the CI perf gate.
 
 Examples::
 
     repro perf run --quick -o BENCH_perf.json
     repro perf run --case crossbar-64 --sample --flamegraph perf/
-    repro perf diff BENCH_perf.json /tmp/BENCH_perf.json --threshold 0.25
+    repro perf diff BENCH_perf.json /tmp/BENCH_perf.json
 """
 
 from __future__ import annotations
@@ -22,21 +23,19 @@ import sys
 from pathlib import Path
 
 from ..errors import ReproError
-from .diff import DEFAULT_THRESHOLD, compare_results, load_results, render_comparison
+from .diff import compare_results, load_results, render_comparison
 from .ladder import LADDER, ladder_cases, run_ladder, write_results
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    names = args.case if args.case else None
     try:
-        ladder_cases(names)  # validate before simulating anything
+        cases = ladder_cases(args.case or None)
     except KeyError as exc:
         raise ReproError(exc.args[0]) from None
     rows = run_ladder(
-        names=names,
+        cases,
         quick=args.quick,
-        profile=not args.no_profile,
         sample=args.sample,
         flamegraph_dir=Path(args.flamegraph) if args.flamegraph else None,
         chrome_dir=Path(args.chrome) if args.chrome else None,
@@ -44,13 +43,17 @@ def cmd_run(args: argparse.Namespace) -> int:
             lambda line: print(line, file=sys.stderr)
         ),
     )
-    legacy_root = None if args.no_legacy else out.parent
-    write_results(rows, out, legacy_root=legacy_root)
-    print(f"{'case':>22} {'events':>10} {'wall_s':>8} {'events/sec':>12}")
+    write_results(rows, out)
+    print(
+        f"{'case':>22} {'startup_ev':>10} {'program_ev':>10} "
+        f"{'startup_s':>10} {'program_s':>10} {'program_iqr':>11}"
+    )
     for row in rows:
+        startup, program = row["startup"], row["program"]
         print(
-            f"{row['case']:>22} {row['events']:>10} "
-            f"{row['wall_s']:>8.3f} {row['events_per_sec']:>12}"
+            f"{row['case']:>22} {startup['events']:>10} "
+            f"{program['events']:>10} {startup['wall_s']:>10.4f} "
+            f"{program['wall_s']:>10.4f} {program['wall_iqr_s']:>11.4f}"
         )
     print(f"wrote {out}")
     return 0
@@ -58,8 +61,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_diff(args: argparse.Namespace) -> int:
     comparison = compare_results(
-        load_results(args.baseline), load_results(args.current),
-        threshold=args.threshold,
+        load_results(args.baseline), load_results(args.current)
     )
     if args.json:
         print(json.dumps(comparison, sort_keys=True))
@@ -80,7 +82,9 @@ def cmd_list(args: argparse.Namespace) -> int:
 def configure(parser: argparse.ArgumentParser) -> None:
     sub = parser.add_subparsers(dest="action", required=True)
 
-    run = sub.add_parser("run", help="run the workload ladder")
+    run = sub.add_parser(
+        "run", help="time the workload ladder (median of unprofiled runs)"
+    )
     run.add_argument(
         "--quick",
         action="store_true",
@@ -99,14 +103,10 @@ def configure(parser: argparse.ArgumentParser) -> None:
         help="run only this ladder case (repeatable; see `repro perf list`)",
     )
     run.add_argument(
-        "--no-profile",
-        action="store_true",
-        help="skip per-event attribution (plain wall-clock timing only)",
-    )
-    run.add_argument(
         "--sample",
         action="store_true",
-        help="capture periodic Python stacks while each case runs",
+        help="add a profiled pass per case that captures periodic "
+        "Python stacks",
     )
     run.add_argument(
         "--flamegraph",
@@ -117,14 +117,8 @@ def configure(parser: argparse.ArgumentParser) -> None:
     run.add_argument(
         "--chrome",
         metavar="DIR",
-        help="write <case>.kernel.trace.json Chrome-trace kernel "
-        "attribution here",
-    )
-    run.add_argument(
-        "--no-legacy",
-        action="store_true",
-        help="skip re-emitting BENCH_topology.json / BENCH_chaos.json "
-        "next to the output file",
+        help="add a profiled pass per case and write its "
+        "<case>.kernel.trace.json Chrome-trace kernel attribution here",
     )
     run.add_argument(
         "--quiet", action="store_true", help="suppress per-case progress"
@@ -133,18 +127,11 @@ def configure(parser: argparse.ArgumentParser) -> None:
 
     diff = sub.add_parser(
         "diff",
-        help="compare two results files; exit 1 on an events/sec "
-        "regression or a changed event count",
+        help="compare two results files; exit 1 on a wall-time "
+        "regression, a changed event count or a workload mismatch",
     )
     diff.add_argument("baseline", help="baseline BENCH_perf.json")
     diff.add_argument("current", help="current BENCH_perf.json")
-    diff.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_THRESHOLD,
-        help="allowed fractional events/sec drop "
-        f"(default {DEFAULT_THRESHOLD}; generous to absorb runner noise)",
-    )
     diff.add_argument(
         "--json", action="store_true", help="emit the comparison as JSON"
     )
